@@ -1,18 +1,9 @@
 """Capacity regions, feedback metrics, and bit-level simulation for the
 two-user linear deterministic interference channel with noisy output feedback."""
 
-from .bounds import (
-    Bound,
-    BoundSet,
-    Constraint,
-    build_bounds,
-    capacity_region,
-    evaluate_bound,
-)
+from .bounds import build_bounds, capacity_region
 from .metrics import (
     MetricSurface,
-    MetricsResult,
-    ThresholdReport,
     compute_metrics,
     delta,
     feedback_threshold,
@@ -20,67 +11,29 @@ from .metrics import (
     sigma,
     sweep,
 )
-from .params import (
-    MAX_EXPONENT,
-    ChannelParams,
-    GaussianParams,
-    derive_variant,
-    gaussian_to_ld,
-)
-from .polytope import RatePoint, RatePolytope, UnboundedRegionError
-from .sim import (
-    SCHEMES,
-    Scheme,
-    SessionResult,
-    SimConfig,
-    TraceStep,
-    derive_config,
-    down_shift,
-    draw_messages,
-    feedback_signal,
-    forward_outputs,
-    run_scheme,
-    run_session,
-    xor_vectors,
-    zero_vector,
-)
+from .params import ChannelParams, GaussianParams, derive_variant, gaussian_to_ld
+from .polytope import RatePoint, RatePolytope
+from .sim import SCHEMES, derive_config, draw_messages, run_scheme, run_session
 
 __all__ = [
-    "Bound",
-    "BoundSet",
     "ChannelParams",
-    "Constraint",
     "GaussianParams",
-    "MAX_EXPONENT",
     "MetricSurface",
-    "MetricsResult",
     "RatePoint",
     "RatePolytope",
     "SCHEMES",
-    "Scheme",
-    "SessionResult",
-    "SimConfig",
-    "ThresholdReport",
-    "TraceStep",
-    "UnboundedRegionError",
     "build_bounds",
     "capacity_region",
     "compute_metrics",
     "delta",
     "derive_config",
     "derive_variant",
-    "down_shift",
     "draw_messages",
-    "evaluate_bound",
-    "feedback_signal",
     "feedback_threshold",
     "feedback_useless",
-    "forward_outputs",
     "gaussian_to_ld",
     "run_scheme",
     "run_session",
     "sigma",
     "sweep",
-    "xor_vectors",
-    "zero_vector",
 ]

@@ -70,13 +70,13 @@ def _delta_between(region: RatePolytope, base: RatePolytope, user: int) -> Fract
     the polytopes; the domain is capped by the smaller region's reach.
     """
     axis = 3 - user  # coordinate held fixed
-    pick = (lambda v: v.r2) if axis == 2 else (lambda v: v.r1)
-    cap = min(region.max_linear(*((1, 0) if axis == 1 else (0, 1))),
-              base.max_linear(*((1, 0) if axis == 1 else (0, 1))))
+    weights = (1, 0) if axis == 1 else (0, 1)
+    cap = min(region.max_linear(*weights), base.max_linear(*weights))
     breakpoints = {Fraction(0), cap}
     for v in region.vertices + base.vertices:
-        if 0 <= pick(v) <= cap:
-            breakpoints.add(pick(v))
+        fixed = v.r1 if axis == 1 else v.r2
+        if 0 <= fixed <= cap:
+            breakpoints.add(fixed)
     best = Fraction(0)
     for value in breakpoints:
         gain = region.slice_max(axis, value) - base.slice_max(axis, value)
@@ -85,31 +85,38 @@ def _delta_between(region: RatePolytope, base: RatePolytope, user: int) -> Fract
     return best
 
 
-def _region_pair(params: ChannelParams):
-    return capacity_region(params), capacity_region(derive_variant(params, "no_feedback"))
+def _base(params: ChannelParams):
+    """The no-feedback variant of a channel and its region."""
+    base_params = derive_variant(params, "no_feedback")
+    return base_params, capacity_region(base_params)
+
+
+def _cell(region: RatePolytope, base: RatePolytope, base_sum: Fraction) -> MetricsResult:
+    """Metrics of a region over its no-feedback base, whose largest sum rate is base_sum."""
+    return MetricsResult(
+        delta1=_delta_between(region, base, 1),
+        delta2=_delta_between(region, base, 2),
+        sigma=region.max_linear(1, 1) - base_sum,
+    )
 
 
 def delta(params: ChannelParams, user: int) -> Fraction:
     """Maximum individual-rate improvement feedback buys user 1 or 2."""
     if user not in (1, 2):
         raise ValueError(f"user must be 1 or 2, got {user!r}")
-    region, base = _region_pair(params)
-    return _delta_between(region, base, user)
+    result = compute_metrics(params)
+    return result.delta1 if user == 1 else result.delta2
 
 
 def sigma(params: ChannelParams) -> Fraction:
     """Maximum sum-rate improvement feedback buys."""
-    region, base = _region_pair(params)
-    return region.max_linear(1, 1) - base.max_linear(1, 1)
+    return compute_metrics(params).sigma
 
 
 def compute_metrics(params: ChannelParams) -> MetricsResult:
-    region, base = _region_pair(params)
-    return MetricsResult(
-        delta1=_delta_between(region, base, 1),
-        delta2=_delta_between(region, base, 2),
-        sigma=region.max_linear(1, 1) - base.max_linear(1, 1),
-    )
+    """Individual and sum-rate improvements of a channel over its no-feedback base."""
+    _, base = _base(params)
+    return _cell(capacity_region(params), base, base.max_linear(1, 1))
 
 
 def feedback_threshold(params: ChannelParams, link: int) -> ThresholdReport:
@@ -120,8 +127,7 @@ def feedback_threshold(params: ChannelParams, link: int) -> ThresholdReport:
     saturation, feedback on this link alone is worthless.
     """
     saturation = params.feedback_saturation(link)
-    base_params = derive_variant(params, "no_feedback")
-    base = capacity_region(base_params)
+    base_params, base = _base(params)
     field = "fb11" if link == 1 else "fb22"
     for level in range(1, saturation + 1):
         grown = capacity_region(replace(base_params, **{field: level}))
@@ -132,7 +138,7 @@ def feedback_threshold(params: ChannelParams, link: int) -> ThresholdReport:
 
 def feedback_useless(params: ChannelParams) -> bool:
     """True when even perfect feedback on both links leaves the region unchanged."""
-    base = capacity_region(derive_variant(params, "no_feedback"))
+    _, base = _base(params)
     full = capacity_region(derive_variant(params, "perfect_feedback"))
     return full.equals_region(base)
 
@@ -143,16 +149,12 @@ def sweep(params: ChannelParams) -> MetricSurface:
     Values beyond saturation repeat the edge of the grid, so the grid stops
     there.
     """
-    base_params = derive_variant(params, "no_feedback")
-    base = capacity_region(base_params)
+    base_params, base = _base(params)
     base_sum = base.max_linear(1, 1)
-    cells = {}
-    for fb11 in range(params.feedback_saturation(1) + 1):
-        for fb22 in range(params.feedback_saturation(2) + 1):
-            region = capacity_region(replace(base_params, fb11=fb11, fb22=fb22))
-            cells[(fb11, fb22)] = MetricsResult(
-                delta1=_delta_between(region, base, 1),
-                delta2=_delta_between(region, base, 2),
-                sigma=region.max_linear(1, 1) - base_sum,
-            )
+    cells = {
+        (fb11, fb22): _cell(capacity_region(replace(base_params, fb11=fb11, fb22=fb22)),
+                            base, base_sum)
+        for fb11 in range(params.feedback_saturation(1) + 1)
+        for fb22 in range(params.feedback_saturation(2) + 1)
+    }
     return MetricSurface(base=base_params, cells=cells)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -28,11 +29,19 @@ def zero_vector(q: int) -> Bits:
     return (0,) * q
 
 
+def _is_bits(v) -> bool:
+    """True when every entry is the int 0 or 1; bools and floats are refused."""
+    for bit in v:
+        if type(bit) is not int or bit not in (0, 1):
+            return False
+    return True
+
+
 def _check_vector(v, q: int, what: str) -> Bits:
     v = tuple(v)
     if len(v) != q:
         raise ValueError(f"{what} has dimension {len(v)}, expected {q}")
-    if any(bit not in (0, 1) for bit in v):
+    if not _is_bits(v):
         raise ValueError(f"{what} contains non-binary entries")
     return v
 
@@ -57,15 +66,16 @@ def xor_vectors(a: Bits, b: Bits) -> Bits:
 @dataclass(frozen=True)
 class SimConfig:
     params: ChannelParams
-    q: int
     delay: int
     block_length: int
 
-    def __post_init__(self):
+    @cached_property
+    def q(self) -> int:
+        """Signal dimension: the largest forward exponent."""
         p = self.params
-        expected = max(p.fwd11, p.fwd22, p.inr12, p.inr21)
-        if self.q != expected:
-            raise ValueError(f"q must equal the largest forward exponent {expected}, got {self.q}")
+        return max(p.fwd11, p.fwd22, p.inr12, p.inr21)
+
+    def __post_init__(self):
         if self.q < 1:
             raise ValueError("all-zero forward exponents leave no signal space")
         if self.delay < 1:
@@ -75,8 +85,7 @@ class SimConfig:
 
 
 def derive_config(params: ChannelParams, delay: int = 1, block_length: int = 1) -> SimConfig:
-    q = max(params.fwd11, params.fwd22, params.inr12, params.inr21)
-    return SimConfig(params=params, q=q, delay=delay, block_length=block_length)
+    return SimConfig(params=params, delay=delay, block_length=block_length)
 
 
 def forward_outputs(x1: Bits, x2: Bits, cfg: SimConfig):
@@ -140,7 +149,7 @@ def run_session(cfg: SimConfig, encoders, decoders, messages) -> SessionResult:
     msg1 = tuple(messages[0])
     msg2 = tuple(messages[1])
     for m, who in ((msg1, "message 1"), (msg2, "message 2")):
-        if any(bit not in (0, 1) for bit in m):
+        if not _is_bits(m):
             raise ValueError(f"{who} contains non-binary entries")
     enc1, enc2 = encoders
     dec1, dec2 = decoders

@@ -19,17 +19,13 @@ from ldic import (
     delta,
     derive_config,
     derive_variant,
-    down_shift,
     draw_messages,
     feedback_threshold,
     feedback_useless,
-    forward_outputs,
     run_scheme,
     sweep,
-    xor_vectors,
-    zero_vector,
 )
-from ldic.sim import POINT_TO_POINT
+from ldic.sim import POINT_TO_POINT, down_shift, forward_outputs, xor_vectors, zero_vector
 
 from helpers import (
     caps_of,

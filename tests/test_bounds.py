@@ -3,7 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ldic import Bound, BoundSet, ChannelParams, Constraint, build_bounds, derive_variant, evaluate_bound
+from ldic import ChannelParams, build_bounds, derive_variant
+from ldic.bounds import Bound, BoundSet, Constraint, evaluate_bound
 
 from helpers import caps_of
 

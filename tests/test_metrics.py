@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from ldic import (
     ChannelParams,
-    MetricsResult,
-    ThresholdReport,
     capacity_region,
     compute_metrics,
     delta,
@@ -18,6 +16,7 @@ from ldic import (
     sigma,
     sweep,
 )
+from ldic.metrics import MetricsResult, ThresholdReport
 
 from helpers import delta_grid_oracle, random_params
 

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ldic import (
-    MAX_EXPONENT,
     ChannelParams,
     GaussianParams,
     derive_variant,
     gaussian_to_ld,
 )
+from ldic.params import MAX_EXPONENT
 
 exponents = st.integers(min_value=0, max_value=40)
 

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ldic import (
-    BoundSet,
     ChannelParams,
-    Constraint,
     RatePoint,
     RatePolytope,
-    UnboundedRegionError,
     capacity_region,
 )
+from ldic.bounds import BoundSet, Constraint
+from ldic.polytope import UnboundedRegionError
 
 from helpers import constraint_mask, polygon_mask, raw_constraints, scaled_grid
 

@@ -6,18 +6,22 @@ from hypothesis import given, settings, strategies as st
 
 from ldic import (
     ChannelParams,
-    SimConfig,
     derive_config,
-    down_shift,
     draw_messages,
-    feedback_signal,
-    forward_outputs,
     run_scheme,
     run_session,
+)
+from ldic.sim import (
+    ECHO,
+    POINT_TO_POINT,
+    SCHEMES,
+    SimConfig,
+    down_shift,
+    feedback_signal,
+    forward_outputs,
     xor_vectors,
     zero_vector,
 )
-from ldic.sim import ECHO, POINT_TO_POINT, SCHEMES
 
 
 def test_derive_config_examples():
@@ -33,11 +37,9 @@ def test_derive_config_rejects_empty_signal_space():
 def test_config_validation():
     p = ChannelParams(4, 3, 2, 1)
     with pytest.raises(ValueError):
-        SimConfig(params=p, q=5, delay=1, block_length=1)
+        SimConfig(params=p, delay=0, block_length=1)
     with pytest.raises(ValueError):
-        SimConfig(params=p, q=4, delay=0, block_length=1)
-    with pytest.raises(ValueError):
-        SimConfig(params=p, q=4, delay=1, block_length=0)
+        SimConfig(params=p, delay=1, block_length=0)
 
 
 def test_down_shift_examples():
@@ -144,12 +146,17 @@ def test_empty_message_has_zero_error_rate():
 def test_run_session_rejects_malformed_encoders_and_decoders():
     cfg = derive_config(ChannelParams(2, 2, 0, 0), delay=1, block_length=1)
     good_enc = lambda message, feedback: (message[0], message[1])
-    bad_enc = lambda message, feedback: (1,)
+    bad_encs = (
+        lambda message, feedback: (1,),
+        lambda message, feedback: (1.0, 0.0),
+        lambda message, feedback: (True, False),
+    )
     good_dec = lambda outputs: outputs[0]
     short_dec = lambda outputs: (0,)
     msg = ((1, 0), (0, 1))
-    with pytest.raises(ValueError):
-        run_session(cfg, (bad_enc, good_enc), (good_dec, good_dec), msg)
+    for bad_enc in bad_encs:
+        with pytest.raises(ValueError):
+            run_session(cfg, (bad_enc, good_enc), (good_dec, good_dec), msg)
     with pytest.raises(ValueError):
         run_session(cfg, (good_enc, good_enc), (short_dec, good_dec), msg)
     with pytest.raises(ValueError):
