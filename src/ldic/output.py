@@ -5,6 +5,9 @@ Every rational value is serialized twice: an exact lowest-terms
 ``*_decimal`` field for spreadsheet convenience. Bit vectors become 0/1
 strings with the most significant level first. Golden files therefore never
 contain binary floating point.
+
+CSV rows are the JSON rows, flattened: each CSV writer takes the same row
+dicts its JSON document embeds, and leaves the columns a row lacks empty.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ def _document(params: ChannelParams, key: str, payload) -> dict:
     return {"schema_version": SCHEMA_VERSION, "params": params_payload(params), key: payload}
 
 
-def region_document(params: ChannelParams, poly: RatePolytope) -> dict:
+def _region_rows(poly: RatePolytope):
     bounds = [
         {
             "r1_coeff": c.r1_coeff,
@@ -81,6 +84,11 @@ def region_document(params: ChannelParams, poly: RatePolytope) -> dict:
         {**_rational_fields("r1", v.r1), **_rational_fields("r2", v.r2)}
         for v in poly.vertices
     ]
+    return bounds, vertices
+
+
+def region_document(params: ChannelParams, poly: RatePolytope) -> dict:
+    bounds, vertices = _region_rows(poly)
     return _document(params, "region", {"bounds": bounds, "vertices": vertices})
 
 
@@ -112,20 +120,19 @@ REGION_CSV_COLUMNS = (
 )
 
 
-def region_csv(params: ChannelParams, poly: RatePolytope) -> str:
+def _csv(columns, rows) -> str:
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(REGION_CSV_COLUMNS)
-    for c in poly.bounds.constraints:
-        source = c.source.value if c.source is not None else ""
-        writer.writerow(["bound", c.r1_coeff, c.r2_coeff, c.rhs, source, "", "", "", ""])
-    for v in poly.vertices:
-        writer.writerow(
-            ["vertex", "", "", "", "",
-             format_rational(v.r1), format_decimal(v.r1),
-             format_rational(v.r2), format_decimal(v.r2)]
-        )
+    writer = csv.DictWriter(buffer, columns, restval="", lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
     return buffer.getvalue()
+
+
+def region_csv(params: ChannelParams, poly: RatePolytope) -> str:
+    bounds, vertices = _region_rows(poly)
+    rows = [{"kind": "bound", **row} for row in bounds]
+    rows += [{"kind": "vertex", **row} for row in vertices]
+    return _csv(REGION_CSV_COLUMNS, rows)
 
 
 def _metrics_fields(result: MetricsResult) -> dict:
@@ -146,18 +153,16 @@ def metrics_document(params: ChannelParams, result: MetricsResult, thresholds, u
     return _document(params, "metrics", payload)
 
 
-def surface_rows(surface: MetricSurface):
+def _surface_rows(surface: MetricSurface):
     # fb11-major, fb22-minor, both ascending
-    for (fb11, fb22) in sorted(surface.cells):
-        yield fb11, fb22, surface.cells[(fb11, fb22)]
+    return [
+        {"fb11": fb11, "fb22": fb22, **_metrics_fields(surface.cells[(fb11, fb22)])}
+        for fb11, fb22 in sorted(surface.cells)
+    ]
 
 
 def surface_document(params: ChannelParams, surface: MetricSurface) -> dict:
-    rows = [
-        {"fb11": fb11, "fb22": fb22, **_metrics_fields(cell)}
-        for fb11, fb22, cell in surface_rows(surface)
-    ]
-    return _document(params, "surface", {"cells": rows})
+    return _document(params, "surface", {"cells": _surface_rows(surface)})
 
 
 SWEEP_CSV_COLUMNS = (
@@ -167,17 +172,7 @@ SWEEP_CSV_COLUMNS = (
 
 
 def sweep_csv(surface: MetricSurface) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(SWEEP_CSV_COLUMNS)
-    for fb11, fb22, cell in surface_rows(surface):
-        writer.writerow(
-            [fb11, fb22,
-             format_rational(cell.delta1), format_decimal(cell.delta1),
-             format_rational(cell.delta2), format_decimal(cell.delta2),
-             format_rational(cell.sigma), format_decimal(cell.sigma)]
-        )
-    return buffer.getvalue()
+    return _csv(SWEEP_CSV_COLUMNS, _surface_rows(surface))
 
 
 def session_document(

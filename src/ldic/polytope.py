@@ -6,6 +6,13 @@ keeping the feasible intersections; for constraint sets of the canonical
 form this candidate set is exactly the vertex set, so no floating point or
 tolerance enters anywhere. With at most seven constraints the cubic cost of
 the pairwise scan is irrelevant.
+
+The canonical upper bounds all have non-negative coefficients, so a region
+is down-closed: its corners are (R1max, 0), the upper boundary with r1
+falling and r2 rising, (0, R2max) and the origin. Counter-clockwise order is
+therefore a plain sort on (-r1, r2) with the origin moved to the end. That
+order is fixed and the corners are exact and distinct, so two regions are
+equal exactly when their vertex tuples are.
 """
 
 from __future__ import annotations
@@ -32,28 +39,6 @@ class RatePoint(collections.namedtuple("RatePoint", ["r1", "r2"])):
         if r1 < 0 or r2 < 0:
             raise ValueError(f"rate pair must be non-negative, got ({r1}, {r2})")
         return super().__new__(cls, r1, r2)
-
-
-def _cross(o: RatePoint, a: RatePoint, b: RatePoint) -> Fraction:
-    return (a.r1 - o.r1) * (b.r2 - o.r2) - (a.r2 - o.r2) * (b.r1 - o.r1)
-
-
-def _hull_ccw(points):
-    """Convex hull of distinct points, counter-clockwise, collinear interiors dropped."""
-    pts = sorted(points)
-    if len(pts) <= 2:
-        return pts
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
 
 
 @dataclass(frozen=True)
@@ -86,9 +71,12 @@ class RatePolytope:
                 if (r1, r2) not in feasible and all(c.holds(r1, r2) for c in cs):
                     feasible[(r1, r2)] = RatePoint(r1, r2)
 
-        ordered = _hull_ccw(feasible.values())
-        anchor = max(range(len(ordered)), key=lambda k: (ordered[k].r1, -ordered[k].r2))
-        return cls(bounds, tuple(ordered[anchor:] + ordered[:anchor]))
+        # This sort is counter-clockwise only because every canonical form has
+        # non-negative coefficients: the region is down-closed, the origin a vertex.
+        ordered = sorted(feasible.values(), key=lambda v: (-v.r1, v.r2))
+        if len(ordered) > 2:
+            ordered.append(ordered.pop(ordered.index((0, 0))))
+        return cls(bounds, tuple(ordered))
 
     def contains(self, point: RatePoint) -> bool:
         """Exact membership test, boundary inclusive."""
@@ -99,8 +87,12 @@ class RatePolytope:
         return all(other.contains(v) for v in self.vertices)
 
     def equals_region(self, other: "RatePolytope") -> bool:
-        """True iff the two regions contain the same points (mutual inclusion)."""
-        return self.subset_of(other) and other.subset_of(self)
+        """True iff the two regions contain the same points.
+
+        The vertex tuple is canonical (exact, duplicate-free, fixed anchor and
+        order), so equal regions have equal tuples.
+        """
+        return self.vertices == other.vertices
 
     def max_linear(self, c1: int, c2: int) -> Fraction:
         """Exact maximum of c1*r1 + c2*r2 over the region (attained at a vertex)."""

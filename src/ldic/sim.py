@@ -143,6 +143,8 @@ def run_session(cfg: SimConfig, encoders, decoders, messages) -> SessionResult:
 
     encoders: pair of callables (message_bits, feedback_history) -> input vector,
     called once per channel use with the feedback vectors delivered so far.
+    The history is the simulator's own list, which grows after the call:
+    read it during the call, and copy it to keep it.
     decoders: pair of callables (output_history) -> estimate bits.
     messages: pair of bit tuples.
     """
@@ -158,8 +160,8 @@ def run_session(cfg: SimConfig, encoders, decoders, messages) -> SessionResult:
     fb1_hist, fb2_hist = [], []
     trace = []
     for n in range(1, cfg.block_length + 1):
-        x1 = _check_vector(enc1(msg1, tuple(fb1_hist)), cfg.q, f"encoder 1 output at use {n}")
-        x2 = _check_vector(enc2(msg2, tuple(fb2_hist)), cfg.q, f"encoder 2 output at use {n}")
+        x1 = _check_vector(enc1(msg1, fb1_hist), cfg.q, f"encoder 1 output at use {n}")
+        x2 = _check_vector(enc2(msg2, fb2_hist), cfg.q, f"encoder 2 output at use {n}")
         y1, y2 = forward_outputs(x1, x2, cfg)
         y1_hist.append(y1)
         y2_hist.append(y2)
@@ -175,10 +177,11 @@ def run_session(cfg: SimConfig, encoders, decoders, messages) -> SessionResult:
 
     est1 = tuple(dec1(tuple(y1_hist)))
     est2 = tuple(dec2(tuple(y2_hist)))
-    if len(est1) != len(msg1):
-        raise ValueError(f"decoder 1 returned {len(est1)} bits for a {len(msg1)}-bit message")
-    if len(est2) != len(msg2):
-        raise ValueError(f"decoder 2 returned {len(est2)} bits for a {len(msg2)}-bit message")
+    for est, msg, who in ((est1, msg1, "decoder 1"), (est2, msg2, "decoder 2")):
+        if len(est) != len(msg):
+            raise ValueError(f"{who} returned {len(est)} bits for a {len(msg)}-bit message")
+        if not _is_bits(est):
+            raise ValueError(f"{who} returned non-binary entries")
 
     return SessionResult(
         messages=(msg1, msg2),

@@ -59,6 +59,8 @@ def test_loose_weighted_caps_leave_the_full_square():
 def test_degenerate_segment_region():
     poly = region_from_caps(0, 7, 9, 9, 9)
     assert poly.vertices == (RatePoint(0, 0), RatePoint(0, Fraction(9, 2)))
+    poly = region_from_caps(7, 0, 9, 9, 9)
+    assert poly.vertices == (RatePoint(Fraction(9, 2), 0), RatePoint(0, 0))
 
 
 def test_unbounded_guard_fires_on_malformed_input():
@@ -146,6 +148,33 @@ def test_vertex_order_is_counter_clockwise_from_the_anchor(caps):
         for a, b, c in zip(vs, vs[1:] + vs[:1], vs[2:] + vs[:2]):
             turn = (b.r1 - a.r1) * (c.r2 - a.r2) - (b.r2 - a.r2) * (c.r1 - a.r1)
             assert turn > 0
+
+
+def _tight_somewhere(constraint, poly):
+    return any(
+        constraint.r1_coeff * v.r1 + constraint.r2_coeff * v.r2 == constraint.rhs
+        for v in poly.vertices
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(caps_strategy, caps_strategy, st.integers(0, 4), st.integers(1, 20))
+def test_region_equality_is_mutual_inclusion(caps, other_caps, which, amount):
+    poly = region_from_caps(*caps)
+    bumped = list(caps)
+    bumped[which] += amount
+    others = [region_from_caps(*other_caps), region_from_caps(*bumped)]
+    slack = [k for k, c in enumerate(poly.bounds.constraints[:5]) if not _tight_somewhere(c, poly)]
+    if slack:
+        # raising a cap that is tight at no vertex changes the bounds, not the region
+        loosened = list(caps)
+        loosened[slack[which % len(slack)]] += amount
+        same = region_from_caps(*loosened)
+        assert same.bounds != poly.bounds and same.equals_region(poly)
+        others.append(same)
+    for other in others:
+        assert poly.equals_region(other) == (poly.subset_of(other) and other.subset_of(poly))
+        assert other.equals_region(poly) == poly.equals_region(other)
 
 
 def test_grid_oracle_agreement_on_random_cap_sets():

@@ -152,13 +152,19 @@ def test_run_session_rejects_malformed_encoders_and_decoders():
         lambda message, feedback: (True, False),
     )
     good_dec = lambda outputs: outputs[0]
-    short_dec = lambda outputs: (0,)
+    bad_decs = (
+        lambda outputs: (0,),
+        lambda outputs: (True, False),
+        lambda outputs: (2, 0),
+        lambda outputs: (1.0, 0.0),
+    )
     msg = ((1, 0), (0, 1))
     for bad_enc in bad_encs:
         with pytest.raises(ValueError):
             run_session(cfg, (bad_enc, good_enc), (good_dec, good_dec), msg)
-    with pytest.raises(ValueError):
-        run_session(cfg, (good_enc, good_enc), (short_dec, good_dec), msg)
+    for bad_dec in bad_decs:
+        with pytest.raises(ValueError):
+            run_session(cfg, (good_enc, good_enc), (bad_dec, good_dec), msg)
     with pytest.raises(ValueError):
         run_session(cfg, (good_enc, good_enc), (good_dec, good_dec), ((1, 2), (0, 1)))
 
@@ -174,6 +180,23 @@ def test_feedback_arrives_after_the_configured_delay():
         else:
             expected = feedback_signal(result.trace[n - cfg.delay - 1].y1, 1, cfg)
             assert step.fb1 == expected
+
+
+def test_encoder_sees_exactly_the_feedback_delivered_before_each_use():
+    cfg = derive_config(ChannelParams(3, 3, 2, 1, 3, 2), delay=2, block_length=6)
+    snapshots = []
+
+    def recording_encoder(message, feedback):
+        snapshots.append(tuple(feedback))
+        return (1, 0, 1) if len(feedback) % 2 else (0, 1, 1)
+
+    partner = lambda message, feedback: (1, 1, 0)
+    decoder = lambda outputs: ()
+    result = run_session(cfg, (recording_encoder, partner), (decoder, decoder), ((), ()))
+    assert any(step.fb1 != zero_vector(cfg.q) for step in result.trace)
+    assert len(snapshots) == cfg.block_length
+    for n, snapshot in enumerate(snapshots, start=1):
+        assert snapshot == tuple(step.fb1 for step in result.trace[: n - 1])
 
 
 def test_altering_late_inputs_cannot_reach_earlier_feedback():
