@@ -98,7 +98,7 @@ def _cmd_region(args) -> str:
     params = _channel_params(args)
     poly = capacity_region(params)
     if args.format == "csv":
-        return region_csv(params, poly)
+        return region_csv(poly)
     return json.dumps(region_document(params, poly), indent=2) + "\n"
 
 

@@ -120,20 +120,30 @@ def compute_metrics(params: ChannelParams) -> MetricsResult:
 
 
 def feedback_threshold(params: ChannelParams, link: int) -> ThresholdReport:
-    """Scan one feedback link upward (other link at zero) until the region moves.
+    """Largest level on one feedback link, the other at zero, that leaves the region unchanged.
 
-    Regions are nested non-decreasing in the feedback level, so the first
-    level that enlarges the region ends the scan; if none does by
-    saturation, feedback on this link alone is worthless.
+    Every canonical cap is non-decreasing in each feedback level (the
+    ``_feedback_credit`` and ``relayed`` terms in ``bounds``), so the regions
+    are nested: once a level enlarges the region, every higher level does.
+    "Region equals the no-feedback base" therefore holds up to the threshold
+    and fails above it, and bisecting [0, saturation] finds the threshold
+    exactly in about log2(saturation + 1) region builds. If no level up to
+    saturation moves the region, feedback on this link alone is worthless.
     """
     saturation = params.feedback_saturation(link)
     base_params, base = _base(params)
     field = "fb11" if link == 1 else "fb22"
-    for level in range(1, saturation + 1):
-        grown = capacity_region(replace(base_params, **{field: level}))
-        if not grown.equals_region(base):
-            return ThresholdReport(link=link, threshold=level - 1, saturation=saturation)
-    return ThresholdReport(link=link, threshold=None, saturation=saturation)
+    # Invariant: the region at level `unchanged` equals the base, and every
+    # level from `moved` up differs (saturation + 1 stands for "none does").
+    unchanged, moved = 0, saturation + 1
+    while moved - unchanged > 1:
+        level = (unchanged + moved) // 2
+        if capacity_region(replace(base_params, **{field: level})).equals_region(base):
+            unchanged = level
+        else:
+            moved = level
+    threshold = None if unchanged == saturation else unchanged
+    return ThresholdReport(link=link, threshold=threshold, saturation=saturation)
 
 
 def feedback_useless(params: ChannelParams) -> bool:

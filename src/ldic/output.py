@@ -128,7 +128,7 @@ def _csv(columns, rows) -> str:
     return buffer.getvalue()
 
 
-def region_csv(params: ChannelParams, poly: RatePolytope) -> str:
+def region_csv(poly: RatePolytope) -> str:
     bounds, vertices = _region_rows(poly)
     rows = [{"kind": "bound", **row} for row in bounds]
     rows += [{"kind": "vertex", **row} for row in vertices]

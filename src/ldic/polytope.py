@@ -7,6 +7,14 @@ form this candidate set is exactly the vertex set, so no floating point or
 tolerance enters anywhere. With at most seven constraints the cubic cost of
 the pairwise scan is irrelevant.
 
+The scan runs in plain integers. Two lines cross at (n1/det, n2/det) with
+integer numerators; negating all three when det < 0 makes det positive, and
+multiplying a constraint a*r1 + b*r2 <= rhs by a positive det keeps its
+direction, so a crossing is feasible exactly when a*n1 + b*n2 <= rhs*det
+holds for every constraint. A feasible crossing is kept as (n1, n2, det)
+divided by their gcd, a unique key for the point, so only the few distinct
+corners ever become Fractions.
+
 The canonical upper bounds all have non-negative coefficients, so a region
 is down-closed: its corners are (R1max, 0), the upper boundary with r1
 falling and r2 rising, (0, R2max) and the origin. Counter-clockwise order is
@@ -20,6 +28,7 @@ from __future__ import annotations
 import collections
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .bounds import BoundSet
@@ -59,21 +68,25 @@ class RatePolytope:
         if not any(c.r1_coeff > 0 for c in cs) or not any(c.r2_coeff > 0 for c in cs):
             raise UnboundedRegionError("constraint set does not cap both coordinates")
 
-        feasible = {}
-        for i in range(len(cs)):
-            for j in range(i + 1, len(cs)):
-                a, b = cs[i], cs[j]
-                det = a.r1_coeff * b.r2_coeff - a.r2_coeff * b.r1_coeff
+        rows = [(c.r1_coeff, c.r2_coeff, c.rhs) for c in cs]
+        corners = set()
+        for i, (a1, a2, a_rhs) in enumerate(rows):
+            for b1, b2, b_rhs in rows[i + 1:]:
+                det = a1 * b2 - a2 * b1
                 if det == 0:
                     continue
-                r1 = Fraction(a.rhs * b.r2_coeff - b.rhs * a.r2_coeff, det)
-                r2 = Fraction(a.r1_coeff * b.rhs - b.r1_coeff * a.rhs, det)
-                if (r1, r2) not in feasible and all(c.holds(r1, r2) for c in cs):
-                    feasible[(r1, r2)] = RatePoint(r1, r2)
+                n1 = a_rhs * b2 - b_rhs * a2
+                n2 = a1 * b_rhs - b1 * a_rhs
+                if det < 0:
+                    det, n1, n2 = -det, -n1, -n2
+                if all(c1 * n1 + c2 * n2 <= rhs * det for c1, c2, rhs in rows):
+                    g = gcd(n1, n2, det)
+                    corners.add((n1 // g, n2 // g, det // g))
 
         # This sort is counter-clockwise only because every canonical form has
         # non-negative coefficients: the region is down-closed, the origin a vertex.
-        ordered = sorted(feasible.values(), key=lambda v: (-v.r1, v.r2))
+        points = (RatePoint(Fraction(n1, d), Fraction(n2, d)) for n1, n2, d in corners)
+        ordered = sorted(points, key=lambda v: (-v.r1, v.r2))
         if len(ordered) > 2:
             ordered.append(ordered.pop(ordered.index((0, 0))))
         return cls(bounds, tuple(ordered))

@@ -3,15 +3,18 @@
 Everything here recomputes results through a different route than the
 library: slice caps straight from raw coefficient triples, membership by
 vectorized integer-grid evaluation, and polygon membership from the vertex
-list alone. Grids use step 1/6 (or 1/12), so scaling coordinates by 6 (or
+list alone. The threshold and vertex oracles take the direct route: a
+linear scan over feedback levels, and a pairwise line scan in Fraction
+arithmetic. Grids use step 1/6 (or 1/12), so scaling coordinates by 6 (or
 12) turns every test into exact int64 arithmetic.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
-from ldic import ChannelParams
+from ldic import ChannelParams, capacity_region, derive_variant
 
 GRID_SCALE = 6  # step 1/6
 
@@ -117,3 +120,41 @@ def random_params(rng, limit, feedback=True):
         fb11=rng.randint(0, limit) if feedback else 0,
         fb22=rng.randint(0, limit) if feedback else 0,
     )
+
+
+def linear_threshold(params, link):
+    """Feedback threshold by scanning every level of one link upward (other link at zero).
+
+    None when no level up to the link's saturation moves the region.
+    """
+    base_params = derive_variant(params, "no_feedback")
+    base = capacity_region(base_params)
+    field = "fb11" if link == 1 else "fb22"
+    for level in range(1, params.feedback_saturation(link) + 1):
+        if not capacity_region(replace(base_params, **{field: level})).equals_region(base):
+            return level - 1
+    return None
+
+
+def pairwise_vertices(raw):
+    """Vertex tuple of a canonical region from raw (a, b, rhs) triples, in Fractions.
+
+    Every pair of non-parallel lines is crossed, each crossing is kept if it
+    satisfies every inequality, and the corners are put in the library's
+    counter-clockwise order: descending r1, ascending r2, origin last.
+    """
+    corners = set()
+    for i, (a1, a2, a_rhs) in enumerate(raw):
+        for b1, b2, b_rhs in raw[i + 1:]:
+            det = a1 * b2 - a2 * b1
+            if det == 0:
+                continue
+            r1 = Fraction(a_rhs * b2 - b_rhs * a2, det)
+            r2 = Fraction(a1 * b_rhs - b1 * a_rhs, det)
+            if all(a * r1 + b * r2 <= rhs for a, b, rhs in raw):
+                corners.add((r1, r2))
+    ordered = sorted(corners, key=lambda v: (-v[0], v[1]))
+    if len(ordered) > 2:
+        ordered.remove((0, 0))
+        ordered.append((Fraction(0), Fraction(0)))
+    return tuple(ordered)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ldic import ChannelParams, build_bounds, capacity_region
+from ldic import ChannelParams, build_bounds, capacity_region, compute_metrics
 from ldic.cli import main
 from ldic.output import parse_rational, parse_region_document
 
@@ -96,6 +96,28 @@ def test_metrics_on_a_useless_channel(capsys):
     payload = json.loads(out)["metrics"]
     assert (payload["delta1"], payload["delta2"], payload["sigma"]) == ("0/1", "0/1", "0/1")
     assert payload["feedback_useless"] is True
+
+
+def test_metrics_near_the_exponent_cap(capsys):
+    code, out, err = run_cli(
+        capsys, "metrics", "--n11", "10000", "--n22", "9000", "--n12", "10000",
+        "--n21", "9500", "--fb22", "7000",
+    )
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["schema_version"] == "1"
+    params = ChannelParams(**doc["params"])
+    assert params == ChannelParams(10000, 9000, 10000, 9500, 0, 7000)
+    payload = doc["metrics"]
+    expected = compute_metrics(params)
+    assert [parse_rational(payload[k]) for k in ("delta1", "delta2", "sigma")] == [
+        expected.delta1, expected.delta2, expected.sigma,
+    ]
+    assert payload["thresholds"] == [
+        {"link": 1, "threshold": 9000, "saturation": 10000},
+        {"link": 2, "threshold": None, "saturation": 9500},
+    ]
+    assert payload["feedback_useless"] is False
 
 
 def test_sweep_rows_are_ordered_and_complete(capsys):

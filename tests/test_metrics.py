@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ldic.metrics
 from ldic import (
     ChannelParams,
     capacity_region,
@@ -17,8 +18,9 @@ from ldic import (
     sweep,
 )
 from ldic.metrics import MetricsResult, ThresholdReport
+from ldic.params import MAX_EXPONENT
 
-from helpers import delta_grid_oracle, random_params
+from helpers import delta_grid_oracle, linear_threshold, random_params
 
 FIXTURES = {
     "strong_forward": ChannelParams(20, 15, 12, 13, 15, 14),
@@ -114,6 +116,65 @@ def test_threshold_ignores_the_incoming_feedback_values():
 def test_threshold_on_a_degenerate_link():
     report = feedback_threshold(ChannelParams(0, 0, 0, 0), 1)
     assert report.threshold is None and report.saturation == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(*[st.integers(0, 20)] * 4),
+       st.integers(0, MAX_EXPONENT), st.integers(0, MAX_EXPONENT))
+def test_threshold_bisection_matches_the_linear_scan(exponents, fb11, fb22):
+    params = ChannelParams(*exponents, fb11, fb22)
+    for link in (1, 2):
+        assert feedback_threshold(params, link).threshold == linear_threshold(params, link)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(*[st.integers(0, 20)] * 4),
+       st.one_of(st.integers(0, 21), st.integers(0, MAX_EXPONENT)))
+def test_regions_are_nested_in_each_feedback_level(exponents, other_level):
+    # the premise that makes bisection exact: raising one link never shrinks the region
+    base = ChannelParams(*exponents)
+    for link, field, other in ((1, "fb11", "fb22"), (2, "fb22", "fb11")):
+        regions = [
+            capacity_region(dataclasses.replace(base, **{field: level, other: other_level}))
+            for level in range(base.feedback_saturation(link) + 2)
+        ]
+        for lower, upper in zip(regions, regions[1:]):
+            assert lower.subset_of(upper)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ChannelParams(10_000, 9_000, 10_000, 9_500, 0, 7_000),
+        ChannelParams(9_370, 9_324, 1_705, 3_459),
+        ChannelParams(MAX_EXPONENT, MAX_EXPONENT, MAX_EXPONENT, MAX_EXPONENT),
+    ],
+)
+def test_threshold_search_is_logarithmic_at_the_exponent_cap(monkeypatch, params):
+    builds = []
+
+    def counting_region(p):
+        builds.append(p)
+        return capacity_region(p)
+
+    monkeypatch.setattr(ldic.metrics, "capacity_region", counting_region)
+    base_params = derive_variant(params, "no_feedback")
+    base = capacity_region(base_params)
+    for link, field in ((1, "fb11"), (2, "fb22")):
+        builds.clear()
+        report = feedback_threshold(params, link)
+        # bit_length(S) == ceil(log2(S + 1)), exactly; the +1 is the base region
+        assert len(builds) <= report.saturation.bit_length() + 1
+
+        # nested regions make the first moving level a certificate for the threshold
+        def at(level):
+            return capacity_region(dataclasses.replace(base_params, **{field: level}))
+
+        if report.threshold is None:
+            assert at(report.saturation).equals_region(base)
+        else:
+            assert at(report.threshold).equals_region(base)
+            assert not at(report.threshold + 1).equals_region(base)
 
 
 def test_threshold_report_validation():

@@ -12,9 +12,16 @@ from ldic import (
     capacity_region,
 )
 from ldic.bounds import BoundSet, Constraint
+from ldic.params import MAX_EXPONENT
 from ldic.polytope import UnboundedRegionError
 
-from helpers import constraint_mask, polygon_mask, raw_constraints, scaled_grid
+from helpers import (
+    constraint_mask,
+    pairwise_vertices,
+    polygon_mask,
+    raw_constraints,
+    scaled_grid,
+)
 
 
 def region_from_caps(*caps):
@@ -148,6 +155,20 @@ def test_vertex_order_is_counter_clockwise_from_the_anchor(caps):
         for a, b, c in zip(vs, vs[1:] + vs[:1], vs[2:] + vs[:2]):
             turn = (b.r1 - a.r1) * (c.r2 - a.r2) - (b.r2 - a.r2) * (c.r1 - a.r1)
             assert turn > 0
+
+
+# small caps make several lines meet in one corner; caps up to three times
+# the exponent cap stand for the weighted bounds of channels near that cap
+wide_cap = st.one_of(st.integers(0, 12), st.integers(0, 3 * MAX_EXPONENT))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.tuples(*[wide_cap] * 5))
+def test_integer_vertex_scan_matches_the_fraction_scan(caps):
+    # every bound set has line pairs with a negative determinant, such as
+    # (0, 1) against (1, 1), so each draw exercises the sign normalisation
+    bounds = BoundSet.from_caps(*caps)
+    assert RatePolytope.from_bounds(bounds).vertices == pairwise_vertices(raw_constraints(bounds))
 
 
 def _tight_somewhere(constraint, poly):
