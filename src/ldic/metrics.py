@@ -6,6 +6,13 @@ improvements are maxima of a difference of two concave piecewise-linear
 slice functions, so they are computed exactly by evaluating at the
 breakpoints (the vertex coordinates of either region); the sum improvement
 is a difference of two linear maximizations.
+
+All of it runs in integers. Vertex coordinates lie in (1/6)Z (canonical
+determinants are 1, 2 or 3), so every breakpoint is x/6 for an integer x,
+and the slice cap there lies in (1/12)Z (free coefficients are 1 or 2):
+``RatePolytope.scaled_slice`` returns it times 12 as an int, and
+``scaled_max`` a sum-rate maximum times 6. Gains are differences of those
+ints; a Fraction is made only when a MetricsResult is built.
 """
 
 from __future__ import annotations
@@ -14,9 +21,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .bounds import capacity_region
+from .bounds import build_bounds, capacity_region
 from .params import ChannelParams, derive_variant
-from .polytope import RatePolytope
+from .polytope import SCALE, RatePolytope
 
 
 @dataclass(frozen=True)
@@ -62,24 +69,21 @@ class MetricSurface:
     cells: dict
 
 
-def _delta_between(region: RatePolytope, base: RatePolytope, user: int) -> Fraction:
-    """Largest slice gain for one user over the shared other-rate domain.
+def _delta_between(region: RatePolytope, base: RatePolytope, user: int) -> int:
+    """Largest slice gain for one user over the shared other-rate domain, times 2*SCALE.
 
     Both slice functions are concave piecewise-linear in the fixed
     coordinate, so their difference peaks at a vertex coordinate of one of
     the polytopes; the domain is capped by the smaller region's reach.
     """
     axis = 3 - user  # coordinate held fixed
-    weights = (1, 0) if axis == 1 else (0, 1)
-    cap = min(region.max_linear(*weights), base.max_linear(*weights))
-    breakpoints = {Fraction(0), cap}
-    for v in region.vertices + base.vertices:
-        fixed = v.r1 if axis == 1 else v.r2
-        if 0 <= fixed <= cap:
-            breakpoints.add(fixed)
-    best = Fraction(0)
-    for value in breakpoints:
-        gain = region.slice_max(axis, value) - base.slice_max(axis, value)
+    k = axis - 1  # its index in a scaled vertex
+    cap = min(max(v[k] for v in region.scaled), max(v[k] for v in base.scaled))
+    breakpoints = {0, cap}
+    breakpoints.update(v[k] for v in region.scaled + base.scaled if v[k] <= cap)
+    best = 0
+    for x in breakpoints:
+        gain = region.scaled_slice(axis, x, SCALE) - base.scaled_slice(axis, x, SCALE)
         if gain > best:
             best = gain
     return best
@@ -91,12 +95,12 @@ def _base(params: ChannelParams):
     return base_params, capacity_region(base_params)
 
 
-def _cell(region: RatePolytope, base: RatePolytope, base_sum: Fraction) -> MetricsResult:
-    """Metrics of a region over its no-feedback base, whose largest sum rate is base_sum."""
+def _cell(region: RatePolytope, base: RatePolytope) -> MetricsResult:
+    """Metrics of a region over its no-feedback base."""
     return MetricsResult(
-        delta1=_delta_between(region, base, 1),
-        delta2=_delta_between(region, base, 2),
-        sigma=region.max_linear(1, 1) - base_sum,
+        delta1=Fraction(_delta_between(region, base, 1), 2 * SCALE),
+        delta2=Fraction(_delta_between(region, base, 2), 2 * SCALE),
+        sigma=Fraction(region.scaled_max(1, 1) - base.scaled_max(1, 1), SCALE),
     )
 
 
@@ -116,7 +120,7 @@ def sigma(params: ChannelParams) -> Fraction:
 def compute_metrics(params: ChannelParams) -> MetricsResult:
     """Individual and sum-rate improvements of a channel over its no-feedback base."""
     _, base = _base(params)
-    return _cell(capacity_region(params), base, base.max_linear(1, 1))
+    return _cell(capacity_region(params), base)
 
 
 def feedback_threshold(params: ChannelParams, link: int) -> ThresholdReport:
@@ -130,8 +134,11 @@ def feedback_threshold(params: ChannelParams, link: int) -> ThresholdReport:
     exactly in about log2(saturation + 1) region builds. If no level up to
     saturation moves the region, feedback on this link alone is worthless.
     """
-    saturation = params.feedback_saturation(link)
-    base_params, base = _base(params)
+    return _threshold(*_base(params), link)
+
+
+def _threshold(base_params: ChannelParams, base: RatePolytope, link: int) -> ThresholdReport:
+    saturation = base_params.feedback_saturation(link)
     field = "fb11" if link == 1 else "fb22"
     # Invariant: the region at level `unchanged` equals the base, and every
     # level from `moved` up differs (saturation + 1 stands for "none does").
@@ -148,23 +155,43 @@ def feedback_threshold(params: ChannelParams, link: int) -> ThresholdReport:
 
 def feedback_useless(params: ChannelParams) -> bool:
     """True when even perfect feedback on both links leaves the region unchanged."""
-    _, base = _base(params)
-    full = capacity_region(derive_variant(params, "perfect_feedback"))
+    return _useless(*_base(params))
+
+
+def _useless(base_params: ChannelParams, base: RatePolytope) -> bool:
+    full = capacity_region(derive_variant(base_params, "perfect_feedback"))
     return full.equals_region(base)
+
+
+def metrics_report(params: ChannelParams) -> tuple:
+    """Everything ``ldic metrics`` prints: (compute_metrics, both threshold reports, useless).
+
+    Equal to calling ``compute_metrics``, ``feedback_threshold`` for links 1
+    and 2 and ``feedback_useless``, but the four share one no-feedback base
+    region instead of building it four times.
+    """
+    base_params, base = _base(params)
+    thresholds = (_threshold(base_params, base, 1), _threshold(base_params, base, 2))
+    return _cell(capacity_region(params), base), thresholds, _useless(base_params, base)
 
 
 def sweep(params: ChannelParams) -> MetricSurface:
     """Metrics at every integer feedback pair on the saturation grid.
 
     Values beyond saturation repeat the edge of the grid, so the grid stops
-    there.
+    there. Cells whose five canonical caps agree have the same region and so
+    the same metrics; each distinct cap tuple is built and measured once per
+    call.
     """
     base_params, base = _base(params)
-    base_sum = base.max_linear(1, 1)
-    cells = {
-        (fb11, fb22): _cell(capacity_region(replace(base_params, fb11=fb11, fb22=fb22)),
-                            base, base_sum)
-        for fb11 in range(params.feedback_saturation(1) + 1)
-        for fb22 in range(params.feedback_saturation(2) + 1)
-    }
+    by_caps = {}
+    cells = {}
+    for fb11 in range(params.feedback_saturation(1) + 1):
+        for fb22 in range(params.feedback_saturation(2) + 1):
+            bounds = build_bounds(replace(base_params, fb11=fb11, fb22=fb22))
+            caps = tuple(c.rhs for c in bounds.constraints)  # the five caps, two zeros
+            cell = by_caps.get(caps)
+            if cell is None:
+                cell = by_caps[caps] = _cell(RatePolytope.from_bounds(bounds), base)
+            cells[(fb11, fb22)] = cell
     return MetricSurface(base=base_params, cells=cells)

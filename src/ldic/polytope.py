@@ -11,9 +11,22 @@ The scan runs in plain integers. Two lines cross at (n1/det, n2/det) with
 integer numerators; negating all three when det < 0 makes det positive, and
 multiplying a constraint a*r1 + b*r2 <= rhs by a positive det keeps its
 direction, so a crossing is feasible exactly when a*n1 + b*n2 <= rhs*det
-holds for every constraint. A feasible crossing is kept as (n1, n2, det)
-divided by their gcd, a unique key for the point, so only the few distinct
-corners ever become Fractions.
+holds for every constraint.
+
+Every constraint has one of the canonical coefficient pairs (1, 0), (0, 1),
+(1, 1), (2, 1), (1, 2), (-1, 0), (0, -1), so a crossing's det is 1, 2 or 3
+up to sign, and every vertex lies in (1/6)Z. A feasible crossing is
+therefore kept as the integer pair (6*n1/det, 6*n2/det), which is exact and
+a unique key for the point; only the few distinct corners ever become
+Fractions, and the scaled pairs stay on the region as ``scaled``.
+
+Slices and linear maxima run on those integers too. The free coefficient of
+a canonical upper bound is 1 or 2, so the cap a constraint puts on the free
+coordinate at fixed value num/den is (rhs*den - fixed*num) / (free*den),
+and times 2*den that is an integer. At a vertex coordinate (den 6) every
+slice cap therefore lies in (1/12)Z, and a linear maximum with integer
+weights, attained at a vertex, lies in (1/6)Z. The public ``slice_max`` and
+``max_linear`` divide once at the end.
 
 The canonical upper bounds all have non-negative coefficients, so a region
 is down-closed: its corners are (R1max, 0), the upper boundary with r1
@@ -26,12 +39,14 @@ equal exactly when their vertex tuples are.
 from __future__ import annotations
 
 import collections
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Optional
 
 from .bounds import BoundSet
+
+# Every vertex coordinate is a multiple of 1/SCALE (see the module docstring).
+SCALE = 6
 
 
 class UnboundedRegionError(ValueError):
@@ -56,11 +71,14 @@ class RatePolytope:
 
     Vertices run counter-clockwise starting from the one with maximal r1
     (ties broken toward minimal r2). Degenerate regions are first-class:
-    a single point has one vertex, a segment two.
+    a single point has one vertex, a segment two. ``scaled`` holds the same
+    vertices in the same order as integer pairs (SCALE*r1, SCALE*r2); it is
+    derived from ``vertices``, so it takes no part in equality.
     """
 
     bounds: BoundSet
     vertices: tuple
+    scaled: tuple = field(compare=False, repr=False)
 
     @classmethod
     def from_bounds(cls, bounds: BoundSet) -> "RatePolytope":
@@ -80,16 +98,16 @@ class RatePolytope:
                 if det < 0:
                     det, n1, n2 = -det, -n1, -n2
                 if all(c1 * n1 + c2 * n2 <= rhs * det for c1, c2, rhs in rows):
-                    g = gcd(n1, n2, det)
-                    corners.add((n1 // g, n2 // g, det // g))
+                    # det is 1, 2 or 3, a divisor of SCALE: the division is exact
+                    corners.add((n1 * SCALE // det, n2 * SCALE // det))
 
         # This sort is counter-clockwise only because every canonical form has
         # non-negative coefficients: the region is down-closed, the origin a vertex.
-        points = (RatePoint(Fraction(n1, d), Fraction(n2, d)) for n1, n2, d in corners)
-        ordered = sorted(points, key=lambda v: (-v.r1, v.r2))
-        if len(ordered) > 2:
-            ordered.append(ordered.pop(ordered.index((0, 0))))
-        return cls(bounds, tuple(ordered))
+        scaled = sorted(corners, key=lambda v: (-v[0], v[1]))
+        if len(scaled) > 2:
+            scaled.append(scaled.pop(scaled.index((0, 0))))
+        vertices = tuple(RatePoint(Fraction(x, SCALE), Fraction(y, SCALE)) for x, y in scaled)
+        return cls(bounds, vertices, tuple(scaled))
 
     def contains(self, point: RatePoint) -> bool:
         """Exact membership test, boundary inclusive."""
@@ -103,37 +121,43 @@ class RatePolytope:
         """True iff the two regions contain the same points.
 
         The vertex tuple is canonical (exact, duplicate-free, fixed anchor and
-        order), so equal regions have equal tuples.
+        order), so equal regions have equal tuples; the scaled integer tuple
+        is the same tuple and compares faster.
         """
-        return self.vertices == other.vertices
+        return self.scaled == other.scaled
+
+    def scaled_max(self, c1: int, c2: int) -> int:
+        """SCALE times the maximum of c1*r1 + c2*r2 over the region, an exact int."""
+        if (c1, c2) == (0, 0):
+            raise ValueError("objective must be a nonzero functional")
+        return max(c1 * x + c2 * y for x, y in self.scaled)
 
     def max_linear(self, c1: int, c2: int) -> Fraction:
         """Exact maximum of c1*r1 + c2*r2 over the region (attained at a vertex)."""
-        if (c1, c2) == (0, 0):
-            raise ValueError("objective must be a nonzero functional")
-        return max(c1 * v.r1 + c2 * v.r2 for v in self.vertices)
+        return Fraction(self.scaled_max(c1, c2), SCALE)
 
-    def slice_max(self, axis: int, value) -> Optional[Fraction]:
-        """Maximal free coordinate on the slice with coordinate `axis` fixed.
+    def scaled_slice(self, axis: int, num: int, den: int) -> Optional[int]:
+        """2*den times the maximal free coordinate on the slice at num/den, an exact int.
 
-        axis=2 fixes r2 = value and returns the largest feasible r1; axis=1
-        the reverse. Returns None when the slice misses the region. Computed
-        as the tightest cap each constraint induces on the free coordinate.
+        axis=2 fixes r2 = num/den and bounds r1; axis=1 the reverse. den must
+        be positive. Returns None when the slice misses the region. Computed
+        as the tightest cap each constraint induces on the free coordinate;
+        free coefficients are 1 or 2, so each scaled cap is an integer.
         """
-        value = Fraction(value)
         if axis not in (1, 2):
             raise ValueError(f"axis must be 1 or 2, got {axis!r}")
-        if value < 0:
-            raise ValueError(f"fixed coordinate must be non-negative, got {value}")
+        if num < 0:
+            raise ValueError(f"fixed coordinate must be non-negative, got {Fraction(num, den)}")
 
         best = None
         for c in self.bounds.constraints:
             if axis == 2:
-                free_coeff, residual = c.r1_coeff, c.rhs - c.r2_coeff * value
+                free_coeff, fixed_coeff = c.r1_coeff, c.r2_coeff
             else:
-                free_coeff, residual = c.r2_coeff, c.rhs - c.r1_coeff * value
+                free_coeff, fixed_coeff = c.r2_coeff, c.r1_coeff
+            residual = c.rhs * den - fixed_coeff * num  # den times (rhs - fixed_coeff*value)
             if free_coeff > 0:
-                cap = Fraction(residual, free_coeff)
+                cap = 2 * residual // free_coeff
                 if best is None or cap < best:
                     best = cap
             elif free_coeff == 0 and residual < 0:
@@ -142,3 +166,14 @@ class RatePolytope:
         if best is None or best < 0:
             return None
         return best
+
+    def slice_max(self, axis: int, value) -> Optional[Fraction]:
+        """Maximal free coordinate on the slice with coordinate `axis` fixed.
+
+        axis=2 fixes r2 = value and returns the largest feasible r1; axis=1
+        the reverse. Returns None when the slice misses the region.
+        """
+        value = Fraction(value)
+        den = value.denominator
+        cap = self.scaled_slice(axis, value.numerator, den)
+        return None if cap is None else Fraction(cap, 2 * den)

@@ -1,12 +1,13 @@
 """Shared brute-force oracles for the test suite.
 
 Everything here recomputes results through a different route than the
-library: slice caps straight from raw coefficient triples, membership by
-vectorized integer-grid evaluation, and polygon membership from the vertex
-list alone. The threshold and vertex oracles take the direct route: a
-linear scan over feedback levels, and a pairwise line scan in Fraction
-arithmetic. Grids use step 1/6 (or 1/12), so scaling coordinates by 6 (or
-12) turns every test into exact int64 arithmetic.
+library: slice caps straight from raw coefficient triples or from edge
+crossings of the vertex list, membership by vectorized integer-grid
+evaluation, and polygon membership from the vertex list alone. The
+threshold and vertex oracles take the direct route: a linear scan over
+feedback levels, and a pairwise line scan in Fraction arithmetic. Grids
+use step 1/6 (or 1/12), so scaling coordinates by 6 (or 12) turns every
+test into exact int64 arithmetic.
 """
 
 from dataclasses import replace
@@ -40,6 +41,28 @@ def slice_cap(raw, axis, value):
             return None
     if best is None or best < 0:
         return None
+    return best
+
+
+def vertex_slice(vertices, axis, value):
+    """Largest free coordinate on the slice, from the vertex list alone.
+
+    The slice of a convex polygon is a segment whose ends lie on its edges,
+    so the answer is the largest edge crossing at the fixed value; a single
+    vertex is its own (zero-length) edge. None when no edge reaches it.
+    """
+    fixed, free = (0, 1) if axis == 1 else (1, 0)
+    pts = [(v.r1, v.r2) for v in vertices]
+    best = None
+    for p, q in zip(pts, pts[1:] + pts[:1]):
+        lo, hi = sorted((p[fixed], q[fixed]))
+        if not lo <= value <= hi:
+            continue
+        if p[fixed] == q[fixed]:
+            crossing = max(p[free], q[free])
+        else:
+            crossing = p[free] + (q[free] - p[free]) * (value - p[fixed]) / (q[fixed] - p[fixed])
+        best = crossing if best is None or crossing > best else best
     return best
 
 
@@ -93,8 +116,7 @@ def delta_grid_oracle(region, base, user, step=Fraction(1, 12)):
     """Brute-force slice-difference maximum over a dense grid plus breakpoints."""
     axis = 3 - user
     pick = (lambda v: v.r2) if axis == 2 else (lambda v: v.r1)
-    functional = (1, 0) if axis == 1 else (0, 1)
-    cap = min(region.max_linear(*functional), base.max_linear(*functional))
+    cap = min(max(map(pick, region.vertices)), max(map(pick, base.vertices)))
     samples = {Fraction(0), cap}
     ticks = int(cap / step)
     samples.update(k * step for k in range(ticks + 1))

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from ldic import ChannelParams, build_bounds, capacity_region, compute_metrics
+import ldic.metrics
+from ldic import ChannelParams, build_bounds, capacity_region, compute_metrics, derive_variant
 from ldic.cli import main
 from ldic.output import parse_rational, parse_region_document
 
@@ -86,6 +87,19 @@ def test_metrics_document(capsys):
         {"link": 1, "threshold": 8, "saturation": 10},
         {"link": 2, "threshold": 3, "saturation": 10},
     ]
+
+
+def test_metrics_request_builds_the_base_region_once(capsys, monkeypatch):
+    builds = []
+
+    def counting_region(p):
+        builds.append(p)
+        return capacity_region(p)
+
+    monkeypatch.setattr(ldic.metrics, "capacity_region", counting_region)
+    code, _, _ = run_cli(capsys, "metrics", *FIG_FLAGS, "--fb11", "9", "--fb22", "4")
+    assert code == 0
+    assert builds.count(derive_variant(ChannelParams(10, 10, 3, 8), "no_feedback")) == 1
 
 
 def test_metrics_on_a_useless_channel(capsys):

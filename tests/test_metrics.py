@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 import ldic.metrics
 from ldic import (
     ChannelParams,
+    RatePolytope,
+    build_bounds,
     capacity_region,
     compute_metrics,
     delta,
@@ -17,10 +19,10 @@ from ldic import (
     sigma,
     sweep,
 )
-from ldic.metrics import MetricsResult, ThresholdReport
+from ldic.metrics import MetricsResult, ThresholdReport, metrics_report
 from ldic.params import MAX_EXPONENT
 
-from helpers import delta_grid_oracle, linear_threshold, random_params
+from helpers import caps_of, delta_grid_oracle, linear_threshold, random_params
 
 FIXTURES = {
     "strong_forward": ChannelParams(20, 15, 12, 13, 15, 14),
@@ -177,6 +179,17 @@ def test_threshold_search_is_logarithmic_at_the_exponent_cap(monkeypatch, params
             assert not at(report.threshold + 1).equals_region(base)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[st.integers(0, 20)] * 4), st.integers(0, 22), st.integers(0, 22))
+def test_metrics_report_matches_the_four_public_calls(exponents, fb11, fb22):
+    params = ChannelParams(*exponents, fb11, fb22)
+    assert metrics_report(params) == (
+        compute_metrics(params),
+        (feedback_threshold(params, 1), feedback_threshold(params, 2)),
+        feedback_useless(params),
+    )
+
+
 def test_threshold_report_validation():
     with pytest.raises(ValueError):
         ThresholdReport(link=3, threshold=None, saturation=1)
@@ -215,6 +228,37 @@ def test_sweep_reproduces_the_pointwise_metrics():
     assert surface.cells[(4, 3)] == compute_metrics(probe)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(*[st.integers(0, 8)] * 4))
+def test_every_sweep_cell_matches_compute_metrics(exponents):
+    params = ChannelParams(*exponents)
+    for (fb11, fb22), cell in sweep(params).cells.items():
+        assert cell == compute_metrics(dataclasses.replace(params, fb11=fb11, fb22=fb22))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [ChannelParams(6, 5, 3, 4), ChannelParams(20, 15, 12, 13), ChannelParams(7, 8, 15, 13)],
+)
+def test_sweep_builds_one_region_per_distinct_cap_tuple(monkeypatch, params):
+    builds = []
+    from_bounds = RatePolytope.from_bounds.__func__
+
+    def counting_from_bounds(cls, bounds):
+        builds.append(bounds)
+        return from_bounds(cls, bounds)
+
+    monkeypatch.setattr(RatePolytope, "from_bounds", classmethod(counting_from_bounds))
+    surface = sweep(params)
+    distinct = {
+        caps_of(build_bounds(dataclasses.replace(params, fb11=fb11, fb22=fb22)))
+        for fb11, fb22 in surface.cells
+    }
+    assert len(distinct) < len(surface.cells)
+    # the +1 is the no-feedback base region
+    assert len(builds) <= len(distinct) + 1
+
+
 def test_sweep_is_monotone_along_both_axes():
     surface = sweep(ChannelParams(6, 5, 3, 4))
     for (i, j), cell in surface.cells.items():
@@ -242,6 +286,22 @@ def test_perfect_feedback_region_dominates(f1, f2, i12, i21, b1, b2):
     noisy = capacity_region(params)
     perfect = capacity_region(derive_variant(params, "perfect_feedback"))
     assert noisy.subset_of(perfect)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(*[st.integers(0, 12)] * 4), st.integers(0, 14), st.integers(0, 14))
+def test_metrics_match_the_grid_and_vertex_oracles(exponents, fb11, fb22):
+    params = ChannelParams(*exponents, fb11, fb22)
+    region = capacity_region(params)
+    base = capacity_region(derive_variant(params, "no_feedback"))
+    result = compute_metrics(params)
+    assert result.delta1 == delta_grid_oracle(region, base, 1)
+    assert result.delta2 == delta_grid_oracle(region, base, 2)
+
+    def largest_sum(poly):
+        return max(v.r1 + v.r2 for v in poly.vertices)
+
+    assert result.sigma == largest_sum(region) - largest_sum(base)
 
 
 def test_sum_maximum_is_capped_by_the_sum_bound():

@@ -21,6 +21,8 @@ from helpers import (
     polygon_mask,
     raw_constraints,
     scaled_grid,
+    slice_cap,
+    vertex_slice,
 )
 
 
@@ -168,7 +170,9 @@ def test_integer_vertex_scan_matches_the_fraction_scan(caps):
     # every bound set has line pairs with a negative determinant, such as
     # (0, 1) against (1, 1), so each draw exercises the sign normalisation
     bounds = BoundSet.from_caps(*caps)
-    assert RatePolytope.from_bounds(bounds).vertices == pairwise_vertices(raw_constraints(bounds))
+    poly = RatePolytope.from_bounds(bounds)
+    assert poly.vertices == pairwise_vertices(raw_constraints(bounds))
+    assert poly.scaled == tuple((6 * v.r1, 6 * v.r2) for v in poly.vertices)
 
 
 def _tight_somewhere(constraint, poly):
@@ -222,3 +226,23 @@ def test_slice_max_is_concave_along_the_axis(caps, a, b, c):
         return
     # slice_max(v2) must sit on or above the chord through v1 and v3
     assert s2 * (v3 - v1) >= s1 * (v3 - v2) + s3 * (v2 - v1)
+
+
+# 7 and 35 do not divide 12: such values fall between the twelfths that
+# vertex coordinates and their slice caps live on
+off_grid = st.builds(Fraction, st.integers(0, 600), st.sampled_from([1, 5, 7, 12, 35]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(caps_strategy, off_grid, st.integers(-3, 3), st.integers(-3, 3))
+def test_slice_and_linear_maxima_at_off_grid_values(caps, value, c1, c2):
+    poly = region_from_caps(*caps)
+    raw = raw_constraints(poly.bounds)
+    for axis in (1, 2):
+        got = poly.slice_max(axis, value)
+        assert got == slice_cap(raw, axis, value) == vertex_slice(poly.vertices, axis, value)
+        assert got is None or isinstance(got, Fraction)
+    if (c1, c2) != (0, 0):
+        got = poly.max_linear(c1, c2)
+        assert got == max(c1 * v.r1 + c2 * v.r2 for v in poly.vertices)
+        assert isinstance(got, Fraction)
