@@ -2,9 +2,10 @@
 
 Every rational value is serialized twice: an exact lowest-terms
 "numerator/denominator" string, and a 6-decimal approximation in a parallel
-``*_decimal`` field for spreadsheet convenience. Bit vectors become 0/1
-strings with the most significant level first. Golden files therefore never
-contain binary floating point.
+``*_decimal`` field for spreadsheet convenience. Message and estimate bit
+tuples become 0/1 strings in order; the simulator's int vectors (trace
+fields) become q-digit 0/1 strings, the most significant level first.
+Golden files therefore never contain binary floating point.
 
 CSV rows are the JSON rows, flattened: each CSV writer takes the same row
 dicts its JSON document embeds, and leaves the columns a row lacks empty.
@@ -41,8 +42,12 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def bit_string(vector) -> str:
-    return "".join(str(bit) for bit in vector)
+_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def bit_string(bits) -> str:
+    """A tuple of 0/1 ints as a 0/1 string, first bit first."""
+    return bytes(bits).translate(_ASCII_BITS).decode("ascii")
 
 
 def parse_bit_string(text: str) -> tuple:
@@ -154,11 +159,15 @@ def metrics_document(params: ChannelParams, result: MetricsResult, thresholds, u
 
 
 def _surface_rows(surface: MetricSurface):
-    # fb11-major, fb22-minor, both ascending
-    return [
-        {"fb11": fb11, "fb22": fb22, **_metrics_fields(surface.cells[(fb11, fb22)])}
-        for fb11, fb22 in sorted(surface.cells)
-    ]
+    # cells with the same caps share one MetricsResult: format each once,
+    # keyed by identity; rows run fb11-major, fb22-minor, both ascending
+    fields, rows = {}, []
+    for fb11, fb22 in sorted(surface.cells):
+        result = surface.cells[(fb11, fb22)]
+        if id(result) not in fields:
+            fields[id(result)] = _metrics_fields(result)
+        rows.append({"fb11": fb11, "fb22": fb22, **fields[id(result)]})
+    return rows
 
 
 def surface_document(params: ChannelParams, surface: MetricSurface) -> dict:
@@ -198,14 +207,15 @@ def session_document(
         "estimates": [bit_string(result.estimates[0]), bit_string(result.estimates[1])],
     }
     if include_trace:
+        spec = f"0{cfg.q}b"
         payload["trace"] = [
             {
-                "x1": bit_string(step.x1),
-                "x2": bit_string(step.x2),
-                "y1": bit_string(step.y1),
-                "y2": bit_string(step.y2),
-                "fb1": bit_string(step.fb1),
-                "fb2": bit_string(step.fb2),
+                "x1": format(step.x1, spec),
+                "x2": format(step.x2, spec),
+                "y1": format(step.y1, spec),
+                "y2": format(step.y2, spec),
+                "fb1": format(step.fb1, spec),
+                "fb2": format(step.fb2, spec),
             }
             for step in result.trace
         ]

@@ -1,19 +1,23 @@
 """Bit-level simulation of the linear deterministic channel with delayed feedback.
 
-Signals are q-dimensional binary vectors, index 0 being the most significant
-level. A link with exponent k delivers the top k levels of its input into
-the bottom k levels of the receiver, which is a down-shift by q-k; cross
-signals superpose over GF(2). Each receiver's output travels back to its own
+A signal is a q-level binary vector held as a Python ``int`` in
+``[0, 2**q)``: level 0, the most significant, is bit q-1. A link with
+exponent k delivers the top k levels of its input into the bottom k levels
+of the receiver, which is a down-shift by q-k (``>>``); cross signals
+superpose over GF(2) (``^``). Each receiver's output travels back to its own
 transmitter through a feedback link with its own exponent, arriving a fixed
 number of channel uses later.
 
-Encoders and decoders are caller-supplied. The session loop enforces only
-the causality contract: the encoder for channel use n sees the message and
-the feedback vectors delivered at uses 1..n-1, nothing else.
+Encoders and decoders are caller-supplied. Encoders return int vectors and
+see int feedback; decoders see the int outputs. Messages and estimates are
+tuples of the ints 0 and 1. The session loop enforces only the causality
+contract: the encoder for channel use n sees the message and the feedback
+vectors delivered at uses 1..n-1, nothing else.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,45 +26,27 @@ from typing import Callable, NamedTuple
 
 from .params import ChannelParams
 
-Bits = tuple
-
-
-def zero_vector(q: int) -> Bits:
-    return (0,) * q
+# bit values <-> ASCII digits, for packing bit tuples through int(text, 2)
+_TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _is_bits(v) -> bool:
     """True when every entry is the int 0 or 1; bools and floats are refused."""
-    for bit in v:
-        if type(bit) is not int or bit not in (0, 1):
-            return False
-    return True
+    return set(map(type, v)) <= {int} and set(v) <= {0, 1}
 
 
-def _check_vector(v, q: int, what: str) -> Bits:
-    v = tuple(v)
-    if len(v) != q:
-        raise ValueError(f"{what} has dimension {len(v)}, expected {q}")
-    if not _is_bits(v):
-        raise ValueError(f"{what} contains non-binary entries")
+def _check_vector(v, q: int, what: str) -> int:
+    if not (type(v) is int and 0 <= v < 1 << q):
+        raise ValueError(f"{what} is not a {q}-bit vector (an int in [0, 2**{q})): {v!r}")
     return v
 
 
-def down_shift(v: Bits, k: int) -> Bits:
+def down_shift(v: int, k: int) -> int:
     """Move every bit k levels toward the least significant end, zero-filling the top."""
     if k < 0:
         raise ValueError(f"shift must be non-negative, got {k}")
-    if k == 0:
-        return tuple(v)
-    if k >= len(v):
-        return zero_vector(len(v))
-    return (0,) * k + tuple(v[: len(v) - k])
-
-
-def xor_vectors(a: Bits, b: Bits) -> Bits:
-    if len(a) != len(b):
-        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return tuple(x ^ y for x, y in zip(a, b))
+    return v >> k
 
 
 @dataclass(frozen=True)
@@ -88,35 +74,43 @@ def derive_config(params: ChannelParams, delay: int = 1, block_length: int = 1) 
     return SimConfig(params=params, delay=delay, block_length=block_length)
 
 
-def forward_outputs(x1: Bits, x2: Bits, cfg: SimConfig):
-    """Receiver outputs for one channel use: own signal XOR cross signal, each attenuated."""
+def _forward_shifts(cfg: SimConfig) -> tuple:
+    """Down-shifts of the links into receiver 1 (direct, cross) and receiver 2 (direct, cross)."""
     q, p = cfg.q, cfg.params
-    x1 = _check_vector(x1, q, "x1")
-    x2 = _check_vector(x2, q, "x2")
-    y1 = xor_vectors(down_shift(x1, q - p.fwd11), down_shift(x2, q - p.inr12))
-    y2 = xor_vectors(down_shift(x2, q - p.fwd22), down_shift(x1, q - p.inr21))
-    return y1, y2
+    return q - p.fwd11, q - p.inr12, q - p.fwd22, q - p.inr21
 
 
-def feedback_signal(y_past: Bits, link: int, cfg: SimConfig) -> Bits:
-    """What a transmitter's feedback link delivers from its receiver's old output."""
+def _feedback_shift(cfg: SimConfig, link: int) -> int:
     if link == 1:
         fb = cfg.params.fb11
     elif link == 2:
         fb = cfg.params.fb22
     else:
         raise ValueError(f"link must be 1 or 2, got {link!r}")
-    y_past = _check_vector(y_past, cfg.q, "y_past")
-    return down_shift(y_past, max(cfg.q - fb, 0))
+    return max(cfg.q - fb, 0)
+
+
+def forward_outputs(x1: int, x2: int, cfg: SimConfig):
+    """Receiver outputs for one channel use: own signal XOR cross signal, each attenuated."""
+    x1 = _check_vector(x1, cfg.q, "x1")
+    x2 = _check_vector(x2, cfg.q, "x2")
+    s11, s12, s22, s21 = _forward_shifts(cfg)
+    return (x1 >> s11) ^ (x2 >> s12), (x2 >> s22) ^ (x1 >> s21)
+
+
+def feedback_signal(y_past: int, link: int, cfg: SimConfig) -> int:
+    """What a transmitter's feedback link delivers from its receiver's old output."""
+    shift = _feedback_shift(cfg, link)
+    return _check_vector(y_past, cfg.q, "y_past") >> shift
 
 
 class TraceStep(NamedTuple):
-    x1: Bits
-    x2: Bits
-    y1: Bits
-    y2: Bits
-    fb1: Bits
-    fb2: Bits
+    x1: int
+    x2: int
+    y1: int
+    y2: int
+    fb1: int
+    fb2: int
 
 
 @dataclass(frozen=True)
@@ -132,20 +126,23 @@ class SessionResult:
         return (len(self.messages[0]), len(self.messages[1]))
 
 
-def _bit_error_rate(sent: Bits, estimated: Bits) -> Fraction:
+def _bit_error_rate(sent: tuple, estimated: tuple) -> Fraction:
     if not sent:
         return Fraction(0)
-    return Fraction(sum(1 for a, b in zip(sent, estimated) if a != b), len(sent))
+    return Fraction(sum(map(operator.ne, sent, estimated)), len(sent))
 
 
 def run_session(cfg: SimConfig, encoders, decoders, messages) -> SessionResult:
     """Run one block of channel uses and decode.
 
-    encoders: pair of callables (message_bits, feedback_history) -> input vector,
-    called once per channel use with the feedback vectors delivered so far.
-    The history is the simulator's own list, which grows after the call:
-    read it during the call, and copy it to keep it.
-    decoders: pair of callables (output_history) -> estimate bits.
+    encoders: pair of callables (message_bits, feedback_history) -> input
+    vector (an int in [0, 2**q)), called once per channel use with the int
+    feedback vectors delivered so far. The history is the simulator's own
+    list, which grows after the call: read it during the call, and copy it
+    to keep it.
+    decoders: pair of callables (output_history) -> estimate bits, where the
+    history is a tuple of int output vectors and the estimate a tuple of
+    0/1 ints as long as the message.
     messages: pair of bit tuples.
     """
     msg1 = tuple(messages[0])
@@ -156,21 +153,30 @@ def run_session(cfg: SimConfig, encoders, decoders, messages) -> SessionResult:
     enc1, enc2 = encoders
     dec1, dec2 = decoders
 
+    q, delay = cfg.q, cfg.delay
+    s11, s12, s22, s21 = _forward_shifts(cfg)
+    f1, f2 = _feedback_shift(cfg, 1), _feedback_shift(cfg, 2)
+    top = 1 << q
     y1_hist, y2_hist = [], []
     fb1_hist, fb2_hist = [], []
     trace = []
     for n in range(1, cfg.block_length + 1):
-        x1 = _check_vector(enc1(msg1, fb1_hist), cfg.q, f"encoder 1 output at use {n}")
-        x2 = _check_vector(enc2(msg2, fb2_hist), cfg.q, f"encoder 2 output at use {n}")
-        y1, y2 = forward_outputs(x1, x2, cfg)
+        x1 = enc1(msg1, fb1_hist)
+        if not (type(x1) is int and 0 <= x1 < top):
+            _check_vector(x1, q, f"encoder 1 output at use {n}")
+        x2 = enc2(msg2, fb2_hist)
+        if not (type(x2) is int and 0 <= x2 < top):
+            _check_vector(x2, q, f"encoder 2 output at use {n}")
+        y1 = (x1 >> s11) ^ (x2 >> s12)
+        y2 = (x2 >> s22) ^ (x1 >> s21)
         y1_hist.append(y1)
         y2_hist.append(y2)
         # feedback delivered at use n reflects the output d uses earlier
-        if n > cfg.delay:
-            fb1 = feedback_signal(y1_hist[n - cfg.delay - 1], 1, cfg)
-            fb2 = feedback_signal(y2_hist[n - cfg.delay - 1], 2, cfg)
+        if n > delay:
+            fb1 = y1_hist[n - delay - 1] >> f1
+            fb2 = y2_hist[n - delay - 1] >> f2
         else:
-            fb1 = fb2 = zero_vector(cfg.q)
+            fb1 = fb2 = 0
         fb1_hist.append(fb1)
         fb2_hist.append(fb2)
         trace.append(TraceStep(x1, x2, y1, y2, fb1, fb2))
@@ -202,8 +208,23 @@ class Scheme:
     decoders: Callable
 
 
-def _top_level_vector(bits: Bits, q: int) -> Bits:
-    return tuple(bits) + zero_vector(q - len(bits))
+def _top_level_vector(bits: tuple, q: int) -> int:
+    """The vector carrying `bits` on its top levels, the first bit on level 0."""
+    return int(b"0" + bytes(bits).translate(_TO_ASCII), 2) << (q - len(bits))
+
+
+def _landing_window_decoder(rate: int):
+    """Decoder reading the bottom `rate` levels of every output, where a
+    top-level burst of `rate` bits lands."""
+    mask, spec = (1 << rate) - 1, f"0{rate}b"
+
+    def decode(outputs) -> tuple:
+        if not rate:
+            return ()
+        text = "".join([format(y & mask, spec) for y in outputs])
+        return tuple(text.encode().translate(_FROM_ASCII))
+
+    return decode
 
 
 def _fresh_bits_encoder(rate: int, q: int):
@@ -212,18 +233,6 @@ def _fresh_bits_encoder(rate: int, q: int):
         return _top_level_vector(message[n * rate:(n + 1) * rate], q)
 
     return encode
-
-
-def _landing_window_decoder(rate: int, q: int):
-    # a top-level burst of `rate` bits arrives in the bottom `rate` positions
-    def decode(outputs):
-        estimate = []
-        for y in outputs:
-            if rate:
-                estimate.extend(y[q - rate:])
-        return tuple(estimate)
-
-    return decode
 
 
 def _point_to_point(cfg: SimConfig) -> tuple:
@@ -241,8 +250,8 @@ POINT_TO_POINT = Scheme(
         _fresh_bits_encoder(cfg.params.fwd22, cfg.q),
     ),
     decoders=lambda cfg: (
-        _landing_window_decoder(cfg.params.fwd11, cfg.q),
-        _landing_window_decoder(cfg.params.fwd22, cfg.q),
+        _landing_window_decoder(cfg.params.fwd11),
+        _landing_window_decoder(cfg.params.fwd22),
     ),
 )
 
@@ -257,11 +266,9 @@ def _echo_encoder(rate: int, q: int):
     return encode
 
 
-def _first_use_decoder(rate: int, q: int):
-    def decode(outputs):
-        return tuple(outputs[0][q - rate:]) if rate else ()
-
-    return decode
+def _first_use_decoder(rate: int):
+    decode = _landing_window_decoder(rate)
+    return lambda outputs: decode(outputs[:1])
 
 
 ECHO = Scheme(
@@ -272,18 +279,49 @@ ECHO = Scheme(
         _echo_encoder(cfg.params.fwd22, cfg.q),
     ),
     decoders=lambda cfg: (
-        _first_use_decoder(cfg.params.fwd11, cfg.q),
-        _first_use_decoder(cfg.params.fwd22, cfg.q),
+        _first_use_decoder(cfg.params.fwd11),
+        _first_use_decoder(cfg.params.fwd22),
     ),
 )
 
 SCHEMES = {scheme.name: scheme for scheme in (POINT_TO_POINT, ECHO)}
 
+# Mersenne Twister words per draw_messages batch (16 KiB, about 2 048 bits).
+_DRAW_WORDS = 4096
+# Top byte of an MT word -> bit 30 as 0/1; the bytes with bit 31 set are deleted.
+_BIT30 = bytes(b >> 6 & 1 for b in range(256))
+_BIT31_SET = bytes(range(128, 256))
+
 
 def draw_messages(lengths, seed) -> tuple:
-    """Deterministic random message bits; the seed drives nothing else."""
+    """Deterministic random message bits; the seed drives nothing else.
+
+    The bits are those of `rng.randrange(2)` called once per bit, message
+    after message, on `random.Random(seed)`, drawn in batches. Each such
+    call takes one 32-bit Mersenne Twister word, keeps its top two bits and
+    retries on 2 or 3, so each bit is bit 30 of the next word whose bit 31
+    is 0. `getrandbits(32 * w)` yields w words, the first one least
+    significant, so in its little-endian bytes every fourth byte from byte 3
+    is a word's top byte, in draw order; `translate` maps each to bit 30 and
+    deletes those with bit 31 set. Batches run until all the bits exist;
+    the generator is local, so the words drawn past the last bit are never
+    seen.
+    """
+    lengths = tuple(lengths)
     rng = random.Random(seed)
-    return tuple(tuple(rng.randrange(2) for _ in range(m)) for m in lengths)
+    need = sum(lengths)
+    batches, have = [], 0
+    while have < need:
+        words = rng.getrandbits(32 * _DRAW_WORDS).to_bytes(4 * _DRAW_WORDS, "little")
+        batch = words[3::4].translate(_BIT30, _BIT31_SET)
+        batches.append(batch)
+        have += len(batch)
+    bits = b"".join(batches)
+    messages, start = [], 0
+    for m in lengths:
+        messages.append(tuple(bits[start:start + m]))
+        start += m
+    return tuple(messages)
 
 
 def run_scheme(cfg: SimConfig, scheme: Scheme, messages) -> SessionResult:

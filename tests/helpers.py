@@ -7,9 +7,12 @@ evaluation, and polygon membership from the vertex list alone. The
 threshold and vertex oracles take the direct route: a linear scan over
 feedback levels, and a pairwise line scan in Fraction arithmetic. Grids
 use step 1/6 (or 1/12), so scaling coordinates by 6 (or 12) turns every
-test into exact int64 arithmetic.
+test into exact int64 arithmetic. The simulator oracle keeps every signal
+as a tuple of bits, level 0 first, and moves it bit by bit; the message
+oracle draws one `randrange(2)` per bit. Neither imports `ldic.sim`.
 """
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -180,3 +183,89 @@ def pairwise_vertices(raw):
         ordered.remove((0, 0))
         ordered.append((Fraction(0), Fraction(0)))
     return tuple(ordered)
+
+
+def reference_draw(lengths, seed):
+    """Message bits drawn one randrange(2) call per bit."""
+    rng = random.Random(seed)
+    return tuple(tuple(rng.randrange(2) for _ in range(m)) for m in lengths)
+
+
+def _shift(v, k):
+    """Down-shift of a bit tuple by k levels, zero-filling the top."""
+    q = len(v)
+    return (0,) * min(k, q) + v[: max(q - k, 0)]
+
+
+def _xor(a, b):
+    return tuple(x ^ y for x, y in zip(a, b))
+
+
+def reference_session(params, delay, block_length, encoders, decoders, messages):
+    """One session of the LD channel on bit tuples.
+
+    encoders: (message, feedback_tuples) -> q-bit tuple; decoders:
+    (output_tuples) -> estimate tuple. Returns (trace, estimates, p1, p2),
+    with trace a list of (x1, x2, y1, y2, fb1, fb2) bit tuples.
+    """
+    q = max(params.fwd11, params.fwd22, params.inr12, params.inr21)
+    zero = (0,) * q
+    outputs = ([], [])
+    feedback = ([], [])
+    trace = []
+    for n in range(block_length):
+        x1 = tuple(encoders[0](messages[0], tuple(feedback[0])))
+        x2 = tuple(encoders[1](messages[1], tuple(feedback[1])))
+        assert len(x1) == len(x2) == q
+        y1 = _xor(_shift(x1, q - params.fwd11), _shift(x2, q - params.inr12))
+        y2 = _xor(_shift(x2, q - params.fwd22), _shift(x1, q - params.inr21))
+        outputs[0].append(y1)
+        outputs[1].append(y2)
+        if n >= delay:
+            fb1 = _shift(outputs[0][n - delay], max(q - params.fb11, 0))
+            fb2 = _shift(outputs[1][n - delay], max(q - params.fb22, 0))
+        else:
+            fb1 = fb2 = zero
+        feedback[0].append(fb1)
+        feedback[1].append(fb2)
+        trace.append((x1, x2, y1, y2, fb1, fb2))
+    estimates = tuple(tuple(decode(tuple(ys))) for decode, ys in zip(decoders, outputs))
+    rates = tuple(
+        Fraction(sum(a != b for a, b in zip(sent, est)), len(sent)) if sent else Fraction(0)
+        for sent, est in zip(messages, estimates)
+    )
+    return trace, estimates, rates[0], rates[1]
+
+
+def reference_scheme(name, params, block_length):
+    """Message lengths, encoders and decoders of a bundled scheme, on bit tuples."""
+    q = max(params.fwd11, params.fwd22, params.inr12, params.inr21)
+    rates = (params.fwd11, params.fwd22)
+
+    def top(bits):
+        return tuple(bits) + (0,) * (q - len(bits))
+
+    def window(y, rate):
+        return y[q - rate:] if rate else ()
+
+    if name == "point-to-point":
+        lengths = tuple(rate * block_length for rate in rates)
+
+        def encoder(rate):
+            return lambda message, feedback: top(
+                message[len(feedback) * rate:(len(feedback) + 1) * rate]
+            )
+
+        def decoder(rate):
+            return lambda outputs: tuple(b for y in outputs for b in window(y, rate))
+    elif name == "echo":
+        lengths = rates
+
+        def encoder(rate):
+            return lambda message, feedback: feedback[-1] if feedback else top(message[:rate])
+
+        def decoder(rate):
+            return lambda outputs: tuple(window(outputs[0], rate))
+    else:
+        raise ValueError(name)
+    return lengths, tuple(map(encoder, rates)), tuple(map(decoder, rates))

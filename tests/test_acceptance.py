@@ -25,7 +25,7 @@ from ldic import (
     run_scheme,
     sweep,
 )
-from ldic.sim import POINT_TO_POINT, down_shift, forward_outputs, xor_vectors, zero_vector
+from ldic.sim import POINT_TO_POINT, down_shift, forward_outputs
 
 from helpers import (
     caps_of,
@@ -163,8 +163,9 @@ def test_criterion_10_simulator_properties():
     # GF(2) linearity and shift composition on 1000 random vectors
     for _ in range(1000):
         q = rng.randint(1, 24)
-        v = tuple(rng.randrange(2) for _ in range(q))
-        w = tuple(rng.randrange(2) for _ in range(q))
+        # one randrange(2) per level, level 0 first
+        v = int("".join(str(rng.randrange(2)) for _ in range(q)), 2)
+        w = int("".join(str(rng.randrange(2)) for _ in range(q)), 2)
         a, b = rng.randint(0, 30), rng.randint(0, 30)
         assert down_shift(down_shift(v, a), b) == down_shift(v, a + b)
 
@@ -175,11 +176,11 @@ def test_criterion_10_simulator_properties():
             inr21=rng.randint(0, q),
         )
         cfg = derive_config(params, block_length=1)
-        mixed = forward_outputs(xor_vectors(v, w), v, cfg)
+        mixed = forward_outputs(v ^ w, v, cfg)
         split1 = forward_outputs(v, v, cfg)
-        split2 = forward_outputs(w, zero_vector(q), cfg)
-        assert mixed[0] == xor_vectors(split1[0], split2[0])
-        assert mixed[1] == xor_vectors(split1[1], split2[1])
+        split2 = forward_outputs(w, 0, cfg)
+        assert mixed[0] == split1[0] ^ split2[0]
+        assert mixed[1] == split1[1] ^ split2[1]
 
     # clean point-to-point pipes hit zero error at the direct-link rate
     for fwd11 in range(1, 17):

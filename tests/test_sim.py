@@ -12,6 +12,7 @@ from ldic import (
     run_session,
 )
 from ldic.sim import (
+    _DRAW_WORDS,
     ECHO,
     POINT_TO_POINT,
     SCHEMES,
@@ -19,9 +20,14 @@ from ldic.sim import (
     down_shift,
     feedback_signal,
     forward_outputs,
-    xor_vectors,
-    zero_vector,
 )
+
+from helpers import reference_draw, reference_scheme, reference_session
+
+
+def bits_of(v, q):
+    """An int vector as its q-bit tuple, level 0 (the most significant bit) first."""
+    return tuple(int(ch) for ch in format(v, f"0{q}b"))
 
 
 def test_derive_config_examples():
@@ -43,54 +49,57 @@ def test_config_validation():
 
 
 def test_down_shift_examples():
-    assert down_shift((1, 0, 0, 0), 2) == (0, 0, 1, 0)
-    assert down_shift((1, 0, 1, 1), 0) == (1, 0, 1, 1)
-    assert down_shift((1, 1, 1, 1), 4) == (0, 0, 0, 0)
-    assert down_shift((1, 1), 9) == (0, 0)
+    assert down_shift(0b1000, 2) == 0b0010
+    assert down_shift(0b1011, 0) == 0b1011
+    assert down_shift(0b1111, 4) == 0
+    assert down_shift(0b11, 9) == 0
     with pytest.raises(ValueError):
-        down_shift((1, 0), -1)
+        down_shift(0b10, -1)
 
 
 def test_forward_outputs_unit_vectors():
     cfg = derive_config(ChannelParams(4, 4, 2, 2), block_length=1)
-    y1, y2 = forward_outputs((1, 0, 0, 0), (1, 0, 0, 0), cfg)
-    assert y1 == (1, 0, 1, 0)
-    assert y2 == (1, 0, 1, 0)
+    y1, y2 = forward_outputs(0b1000, 0b1000, cfg)
+    assert y1 == 0b1010
+    assert y2 == 0b1010
 
 
 def test_forward_outputs_without_interference():
     cfg = derive_config(ChannelParams(4, 4, 0, 0), block_length=1)
-    x1 = (1, 0, 1, 1)
-    y1, y2 = forward_outputs(x1, (0, 1, 1, 0), cfg)
+    x1 = 0b1011
+    y1, y2 = forward_outputs(x1, 0b0110, cfg)
     assert y1 == x1  # direct link spans the whole vector, cross link is dark
-    assert y2 == (0, 1, 1, 0)
+    assert y2 == 0b0110
 
 
 def test_forward_outputs_on_zero_inputs():
     cfg = derive_config(ChannelParams(3, 2, 1, 2), block_length=1)
-    y1, y2 = forward_outputs(zero_vector(3), zero_vector(3), cfg)
-    assert y1 == zero_vector(3) and y2 == zero_vector(3)
+    y1, y2 = forward_outputs(0, 0, cfg)
+    assert y1 == 0 and y2 == 0
 
 
 def test_forward_outputs_validates_inputs():
     cfg = derive_config(ChannelParams(3, 2, 1, 2), block_length=1)
-    with pytest.raises(ValueError):
-        forward_outputs((1, 0), (0, 0, 0), cfg)
-    with pytest.raises(ValueError):
-        forward_outputs((1, 0, 2), (0, 0, 0), cfg)
+    for bad in (1 << 3, -1, (1, 0, 1), True, 1.0):
+        with pytest.raises(ValueError):
+            forward_outputs(bad, 0, cfg)
+        with pytest.raises(ValueError):
+            forward_outputs(0, bad, cfg)
 
 
 def test_feedback_signal_shifts_by_the_link_deficit():
     cfg = derive_config(ChannelParams(4, 4, 0, 0, 2, 0), block_length=1)
-    assert feedback_signal((1, 1, 0, 0), 1, cfg) == (0, 0, 1, 1)
-    assert feedback_signal((1, 1, 0, 0), 2, cfg) == (0, 0, 0, 0)
+    assert feedback_signal(0b1100, 1, cfg) == 0b0011
+    assert feedback_signal(0b1100, 2, cfg) == 0
     with pytest.raises(ValueError):
-        feedback_signal((1, 1, 0, 0), 3, cfg)
+        feedback_signal(0b1100, 3, cfg)
+    with pytest.raises(ValueError):
+        feedback_signal(1 << 4, 1, cfg)
 
 
 def test_feedback_signal_passes_through_at_saturation():
     cfg = derive_config(ChannelParams(4, 4, 0, 0, 9, 0), block_length=1)
-    assert feedback_signal((0, 1, 1, 0), 1, cfg) == (0, 1, 1, 0)
+    assert feedback_signal(0b0110, 1, cfg) == 0b0110
 
 
 def test_point_to_point_round_trip():
@@ -106,16 +115,16 @@ def test_point_to_point_round_trip():
 def test_zero_messages_stay_zero_through_the_echo_loop():
     cfg = derive_config(ChannelParams(4, 4, 2, 2, 4, 4), delay=1, block_length=5)
     lengths = ECHO.message_lengths(cfg)
-    result = run_scheme(cfg, ECHO, (zero_vector(lengths[0]), zero_vector(lengths[1])))
+    result = run_scheme(cfg, ECHO, ((0,) * lengths[0], (0,) * lengths[1]))
     assert result.p1 == 0 and result.p2 == 0
     for step in result.trace:
-        assert step.y1 == zero_vector(4) and step.fb2 == zero_vector(4)
+        assert step.y1 == 0 and step.fb2 == 0
 
 
 def test_complement_decoder_scores_total_error():
     cfg = derive_config(ChannelParams(3, 3, 0, 0), delay=1, block_length=1)
     encoders = POINT_TO_POINT.encoders(cfg)
-    flip = lambda outputs: tuple(1 - b for y in outputs for b in y[cfg.q - 3:])
+    flip = lambda outputs: tuple(1 - b for y in outputs for b in bits_of(y, cfg.q)[cfg.q - 3:])
     message = (1, 0, 1)
     result = run_session(cfg, encoders, (flip, flip), (message, message))
     assert result.p1 == 1 and result.p2 == 1
@@ -126,10 +135,10 @@ def test_error_rate_counts_the_mismatch_fraction():
     encoders = POINT_TO_POINT.encoders(cfg)
 
     def stuck_low_bit(outputs):
-        y = outputs[0]
+        y = bits_of(outputs[0], 4)
         return y[:3] + (1 - y[3],)
 
-    identity = lambda outputs: outputs[0]
+    identity = lambda outputs: bits_of(outputs[0], 4)
     result = run_session(cfg, encoders, (stuck_low_bit, identity), ((1, 1, 0, 0),) * 2)
     assert result.p1 == Fraction(1, 4)
     assert result.p2 == 0
@@ -145,13 +154,12 @@ def test_empty_message_has_zero_error_rate():
 
 def test_run_session_rejects_malformed_encoders_and_decoders():
     cfg = derive_config(ChannelParams(2, 2, 0, 0), delay=1, block_length=1)
-    good_enc = lambda message, feedback: (message[0], message[1])
-    bad_encs = (
-        lambda message, feedback: (1,),
-        lambda message, feedback: (1.0, 0.0),
-        lambda message, feedback: (True, False),
+    good_enc = lambda message, feedback: message[0] << 1 | message[1]
+    bad_encs = tuple(
+        lambda message, feedback, bad=bad: bad
+        for bad in ((1,), (1.0, 0.0), (True, False), (1, 0), True, 1.0, -1, 1 << cfg.q)
     )
-    good_dec = lambda outputs: outputs[0]
+    good_dec = lambda outputs: bits_of(outputs[0], 2)
     bad_decs = (
         lambda outputs: (0,),
         lambda outputs: (True, False),
@@ -176,7 +184,7 @@ def test_feedback_arrives_after_the_configured_delay():
     result = run_scheme(cfg, POINT_TO_POINT, draw_messages(lengths, seed=11))
     for n, step in enumerate(result.trace, start=1):
         if n <= cfg.delay:
-            assert step.fb1 == zero_vector(cfg.q)
+            assert step.fb1 == 0
         else:
             expected = feedback_signal(result.trace[n - cfg.delay - 1].y1, 1, cfg)
             assert step.fb1 == expected
@@ -188,12 +196,12 @@ def test_encoder_sees_exactly_the_feedback_delivered_before_each_use():
 
     def recording_encoder(message, feedback):
         snapshots.append(tuple(feedback))
-        return (1, 0, 1) if len(feedback) % 2 else (0, 1, 1)
+        return 0b101 if len(feedback) % 2 else 0b011
 
-    partner = lambda message, feedback: (1, 1, 0)
+    partner = lambda message, feedback: 0b110
     decoder = lambda outputs: ()
     result = run_session(cfg, (recording_encoder, partner), (decoder, decoder), ((), ()))
-    assert any(step.fb1 != zero_vector(cfg.q) for step in result.trace)
+    assert any(step.fb1 != 0 for step in result.trace)
     assert len(snapshots) == cfg.block_length
     for n, snapshot in enumerate(snapshots, start=1):
         assert snapshot == tuple(step.fb1 for step in result.trace[: n - 1])
@@ -207,10 +215,10 @@ def test_altering_late_inputs_cannot_reach_earlier_feedback():
     def scripted_encoder(script):
         return lambda message, feedback: script[len(feedback)]
 
-    base_script = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 0, 1)]
+    base_script = [0b100, 0b010, 0b001, 0b110, 0b011, 0b101]
     altered_script = list(base_script)
-    altered_script[change_at - 1] = (1, 1, 1)
-    partner = lambda message, feedback: (1, 0, 1)
+    altered_script[change_at - 1] = 0b111
+    partner = lambda message, feedback: 0b101
     decoder = lambda outputs: ()
 
     runs = []
@@ -246,6 +254,22 @@ def test_draw_messages_is_seed_stable():
     assert draw_messages((5, 3), seed=9) != draw_messages((5, 3), seed=10)
 
 
+def test_draw_messages_matches_one_randrange_per_bit():
+    for lengths in ((), (0,), (0, 0), (1,), (0, 1), (1, 0), (1, 1)):
+        for seed in (0, 1, -3, 2**40, "seed"):
+            assert draw_messages(lengths, seed) == reference_draw(lengths, seed)
+    # a batch of _DRAW_WORDS words yields about half as many bits
+    for lengths in ((3 * _DRAW_WORDS, 0), (0, 3 * _DRAW_WORDS), (2 * _DRAW_WORDS, _DRAW_WORDS + 7)):
+        for seed in (5, 6, 7):
+            assert draw_messages(lengths, seed) == reference_draw(lengths, seed)
+    rng = random.Random(20261018)
+    for seed in range(250):
+        lengths = (rng.randint(0, 40), rng.randint(0, 40))
+        if seed % 10 == 0:
+            lengths = (rng.randint(0, 2 * _DRAW_WORDS), rng.randint(0, 2 * _DRAW_WORDS))
+        assert draw_messages(lengths, seed) == reference_draw(lengths, seed), (lengths, seed)
+
+
 def test_scheme_registry():
     assert set(SCHEMES) == {"point-to-point", "echo"}
     assert SCHEMES["point-to-point"] is POINT_TO_POINT
@@ -253,8 +277,9 @@ def test_scheme_registry():
 
 bit_vectors = st.integers(1, 24).flatmap(
     lambda q: st.tuples(
-        st.lists(st.integers(0, 1), min_size=q, max_size=q),
-        st.lists(st.integers(0, 1), min_size=q, max_size=q),
+        st.just(q),
+        st.integers(0, (1 << q) - 1),
+        st.integers(0, (1 << q) - 1),
         st.integers(0, 30),
         st.integers(0, 30),
     )
@@ -264,16 +289,14 @@ bit_vectors = st.integers(1, 24).flatmap(
 @settings(max_examples=200, deadline=None)
 @given(bit_vectors)
 def test_shift_composition(data):
-    v, _, a, b = data
-    v = tuple(v)
+    _, v, _, a, b = data
     assert down_shift(down_shift(v, a), b) == down_shift(v, a + b)
 
 
 @settings(max_examples=200, deadline=None)
 @given(bit_vectors)
 def test_channel_is_linear_over_gf2(data):
-    v, w, a, b = data
-    q = len(v)
+    q, v, w, a, b = data
     rng = random.Random(a * 31 + b)
     params = ChannelParams(
         fwd11=q,
@@ -282,9 +305,63 @@ def test_channel_is_linear_over_gf2(data):
         inr21=rng.randint(0, q),
     )
     cfg = derive_config(params, block_length=1)
-    v, w = tuple(v), tuple(w)
-    mixed = forward_outputs(xor_vectors(v, w), v, cfg)
+    mixed = forward_outputs(v ^ w, v, cfg)
     left = forward_outputs(v, v, cfg)
-    right = forward_outputs(w, zero_vector(q), cfg)
-    assert mixed[0] == xor_vectors(left[0], right[0])
-    assert mixed[1] == xor_vectors(left[1], right[1])
+    right = forward_outputs(w, 0, cfg)
+    assert mixed[0] == left[0] ^ right[0]
+    assert mixed[1] == left[1] ^ right[1]
+
+@st.composite
+def oracle_sessions(draw):
+    q = draw(st.integers(1, 12))
+    exponents = draw(st.lists(st.integers(0, q), min_size=4, max_size=4))
+    exponents[draw(st.integers(0, 3))] = q
+    feedback = draw(st.lists(st.integers(0, q + 2), min_size=2, max_size=2))
+    params = ChannelParams(*exponents, *feedback)
+    delay = draw(st.integers(1, 3))
+    block_length = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(sorted(SCHEMES) + ["scripted"]))
+    vectors = st.lists(st.integers(0, (1 << q) - 1), min_size=block_length, max_size=block_length)
+    scripts = (draw(vectors), draw(vectors))
+    widths = (draw(st.integers(0, q)), draw(st.integers(0, q)))
+    seed = draw(st.integers(0, 2**32))
+    return params, delay, block_length, kind, scripts, widths, seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_sessions())
+def test_sessions_match_the_tuple_oracle(case):
+    params, delay, block_length, kind, scripts, widths, seed = case
+    cfg = derive_config(params, delay=delay, block_length=block_length)
+    q = cfg.q
+    if kind == "scripted":
+        # each input is a scripted vector XOR the latest feedback, so the
+        # feedback path reaches the outputs; each decoder reads the top
+        # `width` levels of its last output
+        def encoder(script):
+            return lambda message, feedback: script[len(feedback)] ^ (feedback[-1] if feedback else 0)
+
+        def reference_encoder(script):
+            def encode(message, feedback):
+                x = bits_of(script[len(feedback)], q)
+                return tuple(a ^ b for a, b in zip(x, feedback[-1])) if feedback else x
+            return encode
+
+        encoders = tuple(map(encoder, scripts))
+        decoders = tuple(lambda outputs, w=w: bits_of(outputs[-1], q)[:w] for w in widths)
+        reference_encoders = tuple(map(reference_encoder, scripts))
+        reference_decoders = tuple(lambda outputs, w=w: outputs[-1][:w] for w in widths)
+        messages = reference_draw(widths, seed)
+        result = run_session(cfg, encoders, decoders, messages)
+    else:
+        lengths, reference_encoders, reference_decoders = reference_scheme(kind, params, block_length)
+        assert SCHEMES[kind].message_lengths(cfg) == lengths
+        messages = reference_draw(lengths, seed)
+        result = run_scheme(cfg, SCHEMES[kind], messages)
+    trace, estimates, p1, p2 = reference_session(
+        params, delay, block_length, reference_encoders, reference_decoders, messages
+    )
+    assert [tuple(bits_of(v, q) for v in step) for step in result.trace] == trace
+    assert result.messages == messages
+    assert result.estimates == estimates
+    assert (result.p1, result.p2) == (p1, p2)
