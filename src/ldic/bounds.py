@@ -7,6 +7,19 @@ Each cap is the minimum over one or two elementary bound evaluations; those
 eight evaluations are enumerated by :class:`Bound` so a constraint can always
 be traced back to the evaluation that produced it.
 
+The bound set separates by feedback link. Feedback link 1 at level fb11
+enters only the R2 cap, the R1+2*R2 cap and link 1's sum credit; link 2 at
+level fb22 mirrors it with the R1 cap, the 2*R1+R2 cap and link 2's credit.
+Every other term reads the forward links alone, and the sum cap is
+
+    min(SUM_INTERFERENCE, base + credit1(fb11) + credit2(fb22)).
+
+So the bound set at (fb11, fb22) = (a, b) is composed from link 1's terms at
+level a and link 2's at level b. ``build_bounds`` composes one channel this
+way, and ``cap_profiles`` tabulates each link's terms once per level, so a
+sweep over every level pair evaluates O(S1 + S2) link terms instead of
+O(S1 * S2) bound sets.
+
 All arithmetic is exact signed-integer. Intermediate expressions may go
 negative before their clip; ``_pos`` applies the clip exactly where each
 formula places it.
@@ -47,35 +60,35 @@ class Bound(enum.Enum):
 
 
 def _user_view(p: ChannelParams, user: int):
-    """(fwd, inr_in, inr_out, fb) for one user.
+    """(fwd, inr_in, inr_out) for one user.
 
     ``inr_in`` is the cross level arriving at this user's receiver;
     ``inr_out`` is the level at which this user lands on the other receiver.
     """
     if user == 1:
-        return p.fwd11, p.inr12, p.inr21, p.fb11
+        return p.fwd11, p.inr12, p.inr21
     if user == 2:
-        return p.fwd22, p.inr21, p.inr12, p.fb22
+        return p.fwd22, p.inr21, p.inr12
     raise ValueError(f"user must be 1 or 2, got {user!r}")
 
 
 def _individual_interference(p: ChannelParams, user: int) -> int:
     """Cap on one rate from what either receiver can resolve of the signal."""
-    fwd, inr_in, inr_out, _ = _user_view(p, user)
+    fwd, inr_in, inr_out = _user_view(p, user)
     return min(max(fwd, inr_out), max(fwd, inr_in))
 
 
-def _individual_partner_feedback(p: ChannelParams, user: int) -> int:
-    """Cap on one rate through the partner pair's feedback loop.
+def _individual_partner_feedback(p: ChannelParams, user: int, level: int) -> int:
+    """Cap on one rate through the partner pair's feedback loop at ``level``.
 
     The partner's feedback link relays this user's signal back around; its
     value is discounted by the levels the partner's own signal occupies on
     top of the cross signal. The discounted term may be negative; the outer
     max with the direct link absorbs it.
     """
-    fwd_i, _, inr_out_i, _ = _user_view(p, user)
-    fwd_j, _, _, fb_j = _user_view(p, 3 - user)
-    relayed = fb_j - _pos(fwd_j - inr_out_i)
+    fwd_i, _, inr_out_i = _user_view(p, user)
+    fwd_j, _, _ = _user_view(p, 3 - user)
+    relayed = level - _pos(fwd_j - inr_out_i)
     return min(max(fwd_i, inr_out_i), max(fwd_i, relayed))
 
 
@@ -86,36 +99,36 @@ def _sum_interference(p: ChannelParams) -> int:
     return min(via_rx1, via_rx2)
 
 
-def _feedback_credit(fwd: int, inr_in: int, inr_out: int, fb: int) -> int:
-    """Clipped sum-rate credit contributed by one feedback link.
+def _feedback_credit(p: ChannelParams, link: int, level: int) -> int:
+    """Clipped sum-rate credit contributed by one feedback link at ``level``.
 
-    The link returns at most min(fb, max(fwd, inr_in)) output levels; only
+    The link returns at most min(level, max(fwd, inr_in)) output levels; only
     the part below the transmitter's own private levels carries anything it
     did not already know, and levels the other receiver observes anyway are
     deducted. Negative credit is clipped to zero.
     """
-    returned = _pos(min(fb, max(fwd, inr_in)) - _pos(fwd - inr_in))
+    fwd, inr_in, inr_out = _user_view(p, link)
+    returned = _pos(min(level, max(fwd, inr_in)) - _pos(fwd - inr_in))
     overheard = min(fwd, inr_out) - min(_pos(fwd - inr_in), inr_out)
     return _pos(returned - _pos(inr_in - fwd) - overheard)
 
 
-def _sum_feedback(p: ChannelParams) -> int:
-    """Sum cap from private-level decoding plus both feedback credits."""
-    base = max(_pos(p.fwd11 - p.inr12), p.inr21) + max(_pos(p.fwd22 - p.inr21), p.inr12)
-    return base + _feedback_credit(*_user_view(p, 1)) + _feedback_credit(*_user_view(p, 2))
+def _sum_base(p: ChannelParams) -> int:
+    """The forward-only part of the sum cap: private-level decoding at both receivers."""
+    return max(_pos(p.fwd11 - p.inr12), p.inr21) + max(_pos(p.fwd22 - p.inr21), p.inr12)
 
 
-def _weighted(p: ChannelParams, heavy: int) -> int:
-    """Cap on 2*R_heavy + R_other, including the lighter user's credit."""
-    fwd_i, inr_in_i, _, _ = _user_view(p, heavy)
-    fwd_j, inr_in_j, inr_out_j, fb_j = _user_view(p, 3 - heavy)
+def _weighted(p: ChannelParams, heavy: int, level: int) -> int:
+    """Cap on 2*R_heavy + R_other, with the lighter user's credit at ``level``."""
+    fwd_i, inr_in_i, _ = _user_view(p, heavy)
+    fwd_j, inr_in_j, _ = _user_view(p, 3 - heavy)
     base = (
         max(fwd_j, inr_in_j)
         + max(fwd_i, inr_in_i)
         + _pos(fwd_i - inr_in_j)
         - min(_pos(fwd_j - inr_in_j), inr_in_i)
     )
-    return base + _feedback_credit(fwd_j, inr_in_j, inr_out_j, fb_j)
+    return base + _feedback_credit(p, 3 - heavy, level)
 
 
 def evaluate_bound(params: ChannelParams, bound: Bound) -> int:
@@ -125,17 +138,21 @@ def evaluate_bound(params: ChannelParams, bound: Bound) -> int:
     if bound is Bound.R2_INTERFERENCE:
         return _individual_interference(params, 2)
     if bound is Bound.R1_PARTNER_FEEDBACK:
-        return _individual_partner_feedback(params, 1)
+        return _individual_partner_feedback(params, 1, params.fb22)
     if bound is Bound.R2_PARTNER_FEEDBACK:
-        return _individual_partner_feedback(params, 2)
+        return _individual_partner_feedback(params, 2, params.fb11)
     if bound is Bound.SUM_INTERFERENCE:
         return _sum_interference(params)
     if bound is Bound.SUM_FEEDBACK:
-        return _sum_feedback(params)
+        return (
+            _sum_base(params)
+            + _feedback_credit(params, 1, params.fb11)
+            + _feedback_credit(params, 2, params.fb22)
+        )
     if bound is Bound.WEIGHTED_2R1_R2:
-        return _weighted(params, 1)
+        return _weighted(params, 1, params.fb22)
     if bound is Bound.WEIGHTED_2R2_R1:
-        return _weighted(params, 2)
+        return _weighted(params, 2, params.fb11)
     raise ValueError(f"unknown bound {bound!r}")
 
 
@@ -193,32 +210,76 @@ class BoundSet:
         raise KeyError(f"no constraint with coefficients ({r1_coeff}, {r2_coeff})")
 
 
-def _min_with_source(params: ChannelParams, *candidates: Bound):
-    best_value, best_source = None, None
-    for bound in candidates:
-        value = evaluate_bound(params, bound)
-        if best_value is None or value < best_value:
-            best_value, best_source = value, bound
-    return best_value, best_source
+_INDIVIDUAL = {
+    1: (Bound.R1_INTERFERENCE, Bound.R1_PARTNER_FEEDBACK),
+    2: (Bound.R2_INTERFERENCE, Bound.R2_PARTNER_FEEDBACK),
+}
+
+
+def _min_with_source(first: tuple, second: tuple) -> tuple:
+    """The smaller of two (value, source) pairs; the first wins a tie."""
+    return second if second[0] < first[0] else first
+
+
+def _link_terms(p: ChannelParams, link: int, level: int) -> tuple:
+    """Every term of the bound set that feedback link ``link`` at ``level`` enters.
+
+    For the other user i these are the Ri cap as (value, source), the
+    2*Ri + R_link cap, and the link's own sum credit. Only ``level`` is read
+    of the feedback: ``p.fb11`` and ``p.fb22`` are ignored.
+    """
+    other = 3 - link
+    interference, partner_feedback = _INDIVIDUAL[other]
+    cap = _min_with_source(
+        (_individual_interference(p, other), interference),
+        (_individual_partner_feedback(p, other, level), partner_feedback),
+    )
+    return cap, _weighted(p, other, level), _feedback_credit(p, link, level)
+
+
+def cap_profiles(params: ChannelParams) -> tuple:
+    """Each feedback link's terms at every level up to its saturation, as plain ints.
+
+    Returns (link1, link2, sum_interference, sum_base). ``link1[a]`` is
+    (R2 cap, R1+2*R2 cap, link 1's credit) at fb11 = a, ``link2[b]`` is
+    (R1 cap, 2*R1+R2 cap, link 2's credit) at fb22 = b; the feedback levels
+    of ``params`` are ignored. The five caps of ``build_bounds`` at
+    (fb11, fb22) = (a, b) are then, in canonical order,
+
+        link2[b][0], link1[a][0],
+        min(sum_interference, sum_base + link1[a][2] + link2[b][2]),
+        link2[b][1], link1[a][1].
+    """
+
+    def profile(link):
+        terms = (_link_terms(params, link, level)
+                 for level in range(params.feedback_saturation(link) + 1))
+        return [(cap, weighted, credit) for (cap, _), weighted, credit in terms]
+
+    return profile(1), profile(2), _sum_interference(params), _sum_base(params)
 
 
 def build_bounds(params: ChannelParams) -> BoundSet:
     """Evaluate all eight bounds and assemble the region's inequality description.
 
     Each canonical right-hand side is the minimum over its contributing
-    evaluations; redundant constraints are kept (pruning is the polytope
-    engine's concern, not this one's).
+    evaluations, composed from the two links' terms at the channel's own
+    feedback levels and the forward-only sum terms; redundant constraints are
+    kept (pruning is the polytope engine's concern, not this one's).
     """
-    r1_cap, r1_src = _min_with_source(params, Bound.R1_INTERFERENCE, Bound.R1_PARTNER_FEEDBACK)
-    r2_cap, r2_src = _min_with_source(params, Bound.R2_INTERFERENCE, Bound.R2_PARTNER_FEEDBACK)
-    sum_cap, sum_src = _min_with_source(params, Bound.SUM_INTERFERENCE, Bound.SUM_FEEDBACK)
+    (r2_cap, r2_src), weighted_2r2_r1, credit1 = _link_terms(params, 1, params.fb11)
+    (r1_cap, r1_src), weighted_2r1_r2, credit2 = _link_terms(params, 2, params.fb22)
+    sum_cap, sum_src = _min_with_source(
+        (_sum_interference(params), Bound.SUM_INTERFERENCE),
+        (_sum_base(params) + credit1 + credit2, Bound.SUM_FEEDBACK),
+    )
     return BoundSet(
         (
             Constraint(1, 0, r1_cap, r1_src),
             Constraint(0, 1, r2_cap, r2_src),
             Constraint(1, 1, sum_cap, sum_src),
-            Constraint(2, 1, evaluate_bound(params, Bound.WEIGHTED_2R1_R2), Bound.WEIGHTED_2R1_R2),
-            Constraint(1, 2, evaluate_bound(params, Bound.WEIGHTED_2R2_R1), Bound.WEIGHTED_2R2_R1),
+            Constraint(2, 1, weighted_2r1_r2, Bound.WEIGHTED_2R1_R2),
+            Constraint(1, 2, weighted_2r2_r1, Bound.WEIGHTED_2R2_R1),
         )
         + NONNEGATIVITY
     )

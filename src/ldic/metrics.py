@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .bounds import build_bounds, capacity_region
+from .bounds import BoundSet, cap_profiles, capacity_region
 from .params import ChannelParams, derive_variant
 from .polytope import SCALE, RatePolytope
 
@@ -179,19 +179,24 @@ def sweep(params: ChannelParams) -> MetricSurface:
     """Metrics at every integer feedback pair on the saturation grid.
 
     Values beyond saturation repeat the edge of the grid, so the grid stops
-    there. Cells whose five canonical caps agree have the same region and so
-    the same metrics; each distinct cap tuple is built and measured once per
-    call.
+    there. Each link's caps depend on its own feedback level alone (see
+    ``bounds``), so they are tabulated once per level, O(S1 + S2) link
+    evaluations, and a cell's five caps are two lookups, one add and one
+    min. Cells whose caps agree have the same region and so the same
+    metrics; each distinct cap tuple is built and measured once per call.
     """
     base_params, base = _base(params)
+    link1, link2, sum_interference, sum_base = cap_profiles(base_params)
     by_caps = {}
     cells = {}
-    for fb11 in range(params.feedback_saturation(1) + 1):
-        for fb22 in range(params.feedback_saturation(2) + 1):
-            bounds = build_bounds(replace(base_params, fb11=fb11, fb22=fb22))
-            caps = tuple(c.rhs for c in bounds.constraints)  # the five caps, two zeros
+    for fb11, (r2_cap, weighted_2r2_r1, credit1) in enumerate(link1):
+        row_base = sum_base + credit1
+        for fb22, (r1_cap, weighted_2r1_r2, credit2) in enumerate(link2):
+            caps = (r1_cap, r2_cap, min(sum_interference, row_base + credit2),
+                    weighted_2r1_r2, weighted_2r2_r1)
             cell = by_caps.get(caps)
             if cell is None:
-                cell = by_caps[caps] = _cell(RatePolytope.from_bounds(bounds), base)
+                region = RatePolytope.from_bounds(BoundSet.from_caps(*caps))
+                cell = by_caps[caps] = _cell(region, base)
             cells[(fb11, fb22)] = cell
     return MetricSurface(base=base_params, cells=cells)

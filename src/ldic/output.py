@@ -97,12 +97,18 @@ def region_document(params: ChannelParams, poly: RatePolytope) -> dict:
     return _document(params, "region", {"bounds": bounds, "vertices": vertices})
 
 
-def parse_region_document(document):
-    """Exact inverse of region_document; accepts a dict or JSON text."""
+def _load(document) -> dict:
+    """A document dict from a dict or JSON text, refusing other schema versions."""
     if isinstance(document, str):
         document = json.loads(document)
     if document.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {document.get('schema_version')!r}")
+    return document
+
+
+def parse_region_document(document):
+    """Exact inverse of region_document; accepts a dict or JSON text."""
+    document = _load(document)
     params = ChannelParams(**document["params"])
     constraints = tuple(
         Constraint(
@@ -172,6 +178,23 @@ def _surface_rows(surface: MetricSurface):
 
 def surface_document(params: ChannelParams, surface: MetricSurface) -> dict:
     return _document(params, "surface", {"cells": _surface_rows(surface)})
+
+
+def parse_surface_document(document):
+    """Exact inverse of surface_document; accepts a dict or JSON text.
+
+    Returns (params, cells) with cells mapping (fb11, fb22) to MetricsResult.
+    """
+    document = _load(document)
+    cells = {
+        (row["fb11"], row["fb22"]): MetricsResult(
+            delta1=parse_rational(row["delta1"]),
+            delta2=parse_rational(row["delta2"]),
+            sigma=parse_rational(row["sigma"]),
+        )
+        for row in document["surface"]["cells"]
+    }
+    return ChannelParams(**document["params"]), cells
 
 
 SWEEP_CSV_COLUMNS = (

@@ -17,8 +17,8 @@ Every constraint has one of the canonical coefficient pairs (1, 0), (0, 1),
 (1, 1), (2, 1), (1, 2), (-1, 0), (0, -1), so a crossing's det is 1, 2 or 3
 up to sign, and every vertex lies in (1/6)Z. A feasible crossing is
 therefore kept as the integer pair (6*n1/det, 6*n2/det), which is exact and
-a unique key for the point; only the few distinct corners ever become
-Fractions, and the scaled pairs stay on the region as ``scaled``.
+a unique key for the point. The scaled pairs are what a region stores, as
+``scaled``; the Fraction vertices are derived from them on first read.
 
 Slices and linear maxima run on those integers too. The free coefficient of
 a canonical upper bound is 1 or 2, so the cap a constraint puts on the free
@@ -39,7 +39,8 @@ equal exactly when their vertex tuples are.
 from __future__ import annotations
 
 import collections
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -69,16 +70,16 @@ class RatePoint(collections.namedtuple("RatePoint", ["r1", "r2"])):
 class RatePolytope:
     """A rate region with its inequality description and enumerated vertices.
 
-    Vertices run counter-clockwise starting from the one with maximal r1
-    (ties broken toward minimal r2). Degenerate regions are first-class:
-    a single point has one vertex, a segment two. ``scaled`` holds the same
-    vertices in the same order as integer pairs (SCALE*r1, SCALE*r2); it is
-    derived from ``vertices``, so it takes no part in equality.
+    ``scaled`` holds the vertices as integer pairs (SCALE*r1, SCALE*r2),
+    counter-clockwise starting from the one with maximal r1 (ties broken
+    toward minimal r2). Degenerate regions are first-class: a single point
+    has one vertex, a segment two. ``vertices`` is the same tuple as exact
+    RatePoints, made on first read; a region that is only measured through
+    ``scaled`` never builds a Fraction.
     """
 
     bounds: BoundSet
-    vertices: tuple
-    scaled: tuple = field(compare=False, repr=False)
+    scaled: tuple
 
     @classmethod
     def from_bounds(cls, bounds: BoundSet) -> "RatePolytope":
@@ -106,8 +107,12 @@ class RatePolytope:
         scaled = sorted(corners, key=lambda v: (-v[0], v[1]))
         if len(scaled) > 2:
             scaled.append(scaled.pop(scaled.index((0, 0))))
-        vertices = tuple(RatePoint(Fraction(x, SCALE), Fraction(y, SCALE)) for x, y in scaled)
-        return cls(bounds, vertices, tuple(scaled))
+        return cls(bounds, tuple(scaled))
+
+    @functools.cached_property
+    def vertices(self) -> tuple:
+        """The vertices as exact RatePoints, in the order of ``scaled``."""
+        return tuple(RatePoint(Fraction(x, SCALE), Fraction(y, SCALE)) for x, y in self.scaled)
 
     def contains(self, point: RatePoint) -> bool:
         """Exact membership test, boundary inclusive."""
@@ -121,8 +126,8 @@ class RatePolytope:
         """True iff the two regions contain the same points.
 
         The vertex tuple is canonical (exact, duplicate-free, fixed anchor and
-        order), so equal regions have equal tuples; the scaled integer tuple
-        is the same tuple and compares faster.
+        order), so equal regions have equal tuples; ``scaled`` is that tuple
+        times SCALE, one-to-one with it.
         """
         return self.scaled == other.scaled
 

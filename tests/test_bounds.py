@@ -1,10 +1,12 @@
+import dataclasses
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ldic import ChannelParams, build_bounds, derive_variant
-from ldic.bounds import Bound, BoundSet, Constraint, evaluate_bound
+from ldic.bounds import Bound, BoundSet, Constraint, _link_terms, cap_profiles, evaluate_bound
+from ldic.params import MAX_EXPONENT
 
 from helpers import caps_of
 
@@ -170,3 +172,67 @@ def test_feedback_credit_saturates_the_sum_bound():
     assert values == sorted(values)
     saturation = base.feedback_saturation(1)
     assert len(set(values[saturation:])) == 1
+
+
+_CANDIDATES = (
+    (Bound.R1_INTERFERENCE, Bound.R1_PARTNER_FEEDBACK),
+    (Bound.R2_INTERFERENCE, Bound.R2_PARTNER_FEEDBACK),
+    (Bound.SUM_INTERFERENCE, Bound.SUM_FEEDBACK),
+    (Bound.WEIGHTED_2R1_R2,),
+    (Bound.WEIGHTED_2R2_R1,),
+)
+
+
+@st.composite
+def channels_and_levels(draw, exponent):
+    """A channel with arbitrary feedback fields, and one level per link up to saturation."""
+    params = ChannelParams(*(draw(exponent) for _ in range(6)))
+    level1 = draw(st.integers(0, params.feedback_saturation(1)))
+    level2 = draw(st.integers(0, params.feedback_saturation(2)))
+    return params, level1, level2
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    channels_and_levels(st.integers(0, 40)),
+    channels_and_levels(st.one_of(st.integers(0, 40),
+                                  st.integers(MAX_EXPONENT - 40, MAX_EXPONENT))),
+))
+def test_bound_set_composes_from_each_links_terms(case):
+    # the identity sweep rests on: link 1's terms at fb11 and link 2's at
+    # fb22, whatever feedback levels the channel itself carries, give
+    # build_bounds at (fb11, fb22) right-hand side for right-hand side and
+    # source for source
+    params, level1, level2 = case
+    cell = dataclasses.replace(params, fb11=level1, fb22=level2)
+    expected = build_bounds(cell)
+
+    (r2_cap, r2_src), weighted_2r2_r1, credit1 = _link_terms(params, 1, level1)
+    (r1_cap, r1_src), weighted_2r1_r2, credit2 = _link_terms(params, 2, level2)
+    no_feedback = dataclasses.replace(params, fb11=0, fb22=0)
+    sum_interference = evaluate_bound(no_feedback, Bound.SUM_INTERFERENCE)
+    sum_feedback = evaluate_bound(no_feedback, Bound.SUM_FEEDBACK) + credit1 + credit2
+    sum_pair = (sum_feedback, Bound.SUM_FEEDBACK) if sum_feedback < sum_interference else (
+        sum_interference, Bound.SUM_INTERFERENCE)
+    composed = (
+        (r1_cap, r1_src),
+        (r2_cap, r2_src),
+        sum_pair,
+        (weighted_2r1_r2, Bound.WEIGHTED_2R1_R2),
+        (weighted_2r2_r1, Bound.WEIGHTED_2R2_R1),
+    )
+    assert tuple((c.rhs, c.source) for c in expected.constraints[:5]) == composed
+
+    # each cap is its first smallest elementary evaluation at the cell
+    for constraint, candidates in zip(expected.constraints, _CANDIDATES):
+        values = [evaluate_bound(cell, bound) for bound in candidates]
+        assert constraint.rhs == min(values)
+        assert constraint.source == candidates[values.index(min(values))]
+
+    if max(params.feedback_saturation(1), params.feedback_saturation(2)) <= 40:
+        link1, link2, sum_int, sum_base = cap_profiles(params)
+        assert (sum_int, sum_base) == (sum_interference, sum_feedback - credit1 - credit2)
+        assert link1[level1] == (r2_cap, weighted_2r2_r1, credit1)
+        assert link2[level2] == (r1_cap, weighted_2r1_r2, credit2)
+        assert len(link1) == params.feedback_saturation(1) + 1
+        assert len(link2) == params.feedback_saturation(2) + 1

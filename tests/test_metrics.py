@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import random
 from fractions import Fraction
@@ -5,7 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ldic.bounds
 import ldic.metrics
+import ldic.polytope
 from ldic import (
     ChannelParams,
     RatePolytope,
@@ -257,6 +260,54 @@ def test_sweep_builds_one_region_per_distinct_cap_tuple(monkeypatch, params):
     assert len(distinct) < len(surface.cells)
     # the +1 is the no-feedback base region
     assert len(builds) <= len(distinct) + 1
+
+
+@pytest.mark.parametrize(
+    "params",
+    [ChannelParams(6, 5, 3, 4), ChannelParams(20, 15, 12, 13), ChannelParams(60, 58, 30, 61)],
+)
+def test_sweep_evaluates_each_link_once_per_level(monkeypatch, params):
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ldic.bounds, "_link_terms", counting("link_terms", ldic.bounds._link_terms))
+    monkeypatch.setattr(ldic.bounds, "build_bounds", counting("bound_sets", ldic.bounds.build_bounds))
+    monkeypatch.setattr(ChannelParams, "__post_init__", counting("params", ChannelParams.__post_init__))
+    monkeypatch.setattr(ldic.polytope, "Fraction", counting("fractions", Fraction))
+    surface = sweep(params)
+
+    s1, s2 = params.feedback_saturation(1), params.feedback_saturation(2)
+    assert len(surface.cells) == (s1 + 1) * (s2 + 1)
+    # per level, not per cell: no cell builds a bound set or a ChannelParams
+    # (dataclasses.replace makes one), and no region of the sweep makes a
+    # vertex Fraction
+    budget = 2 * (s1 + s2 + 2)
+    assert counts["link_terms"] <= budget
+    assert counts["bound_sets"] + counts["params"] <= budget
+    assert counts["fractions"] == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda k: st.tuples(
+    st.just(k),
+    st.tuples(*[st.one_of(st.integers(0, 12), st.integers(0, MAX_EXPONENT // k))] * 6),
+)))
+def test_scaling_every_exponent_scales_region_and_metrics(case):
+    # every bound is a max, min or clip of linear terms in the exponents, so
+    # the region and the metrics are positively homogeneous of degree 1
+    k, exponents = case
+    params = ChannelParams(*exponents)
+    scaled = ChannelParams(*(k * n for n in exponents))
+    assert capacity_region(scaled).scaled == tuple(
+        (k * x, k * y) for x, y in capacity_region(params).scaled
+    )
+    result, scaled_result = compute_metrics(params), compute_metrics(scaled)
+    assert scaled_result == MetricsResult(k * result.delta1, k * result.delta2, k * result.sigma)
 
 
 def test_sweep_is_monotone_along_both_axes():

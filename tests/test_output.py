@@ -2,8 +2,9 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ldic import ChannelParams, capacity_region
+from ldic import ChannelParams, capacity_region, sweep
 from ldic.output import (
     bit_string,
     format_decimal,
@@ -11,7 +12,9 @@ from ldic.output import (
     parse_bit_string,
     parse_rational,
     parse_region_document,
+    parse_surface_document,
     region_document,
+    surface_document,
 )
 
 
@@ -70,3 +73,14 @@ def test_parse_region_document_rejects_unknown_schema():
     doc["schema_version"] = "99"
     with pytest.raises(ValueError):
         parse_region_document(doc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(*[st.integers(0, 8)] * 6), st.booleans())
+def test_parse_surface_document_inverts_surface_document(exponents, as_text):
+    params = ChannelParams(*exponents)
+    surface = sweep(params)
+    document = surface_document(params, surface)
+    if as_text:
+        document = json.dumps(document, indent=2)
+    assert parse_surface_document(document) == (params, surface.cells)
