@@ -2,9 +2,9 @@
 
 Every rational value is serialized twice: an exact lowest-terms
 "numerator/denominator" string, and a 6-decimal approximation in a parallel
-``*_decimal`` field for spreadsheet convenience. Message and estimate bit
-tuples become 0/1 strings in order; the simulator's int vectors (trace
-fields) become q-digit 0/1 strings, the most significant level first.
+``*_decimal`` field for spreadsheet convenience. Messages and estimates are
+already 0/1 text and are embedded as they are; the simulator's int vectors
+(trace fields) become q-digit 0/1 strings, the most significant level first.
 Golden files therefore never contain binary floating point.
 
 CSV rows are the JSON rows, flattened: each CSV writer takes the same row
@@ -40,20 +40,6 @@ def format_decimal(value) -> str:
 
 def parse_rational(text: str) -> Fraction:
     return Fraction(text)
-
-
-_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def bit_string(bits) -> str:
-    """A tuple of 0/1 ints as a 0/1 string, first bit first."""
-    return bytes(bits).translate(_ASCII_BITS).decode("ascii")
-
-
-def parse_bit_string(text: str) -> tuple:
-    if any(ch not in "01" for ch in text):
-        raise ValueError(f"bit string must contain only 0 and 1, got {text!r}")
-    return tuple(int(ch) for ch in text)
 
 
 def _rational_fields(name: str, value) -> dict:
@@ -226,8 +212,8 @@ def session_document(
         **_rational_fields("rate2", Fraction(m2, cfg.block_length)),
         **_rational_fields("p1", result.p1),
         **_rational_fields("p2", result.p2),
-        "messages": [bit_string(result.messages[0]), bit_string(result.messages[1])],
-        "estimates": [bit_string(result.estimates[0]), bit_string(result.estimates[1])],
+        "messages": list(result.messages),
+        "estimates": list(result.estimates),
     }
     if include_trace:
         spec = f"0{cfg.q}b"

@@ -18,7 +18,7 @@ MAX_EXPONENT = 10_000
 
 _FIELDS = ("fwd11", "fwd22", "inr12", "inr21", "fb11", "fb22")
 
-VARIANT_KINDS = ("no_feedback", "perfect_feedback", "saturated")
+VARIANT_KINDS = ("no_feedback", "perfect_feedback")
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,7 @@ def derive_variant(params: ChannelParams, kind: str) -> ChannelParams:
     """Return a copy of ``params`` with the feedback links adjusted.
 
     ``no_feedback`` zeroes both feedback levels; ``perfect_feedback`` raises
-    both to their saturation values; ``saturated`` clips each level at its
-    saturation value without ever raising it.
+    both to their saturation values.
     """
     sat1 = params.feedback_saturation(1)
     sat2 = params.feedback_saturation(2)
@@ -79,8 +78,6 @@ def derive_variant(params: ChannelParams, kind: str) -> ChannelParams:
         return replace(params, fb11=0, fb22=0)
     if kind == "perfect_feedback":
         return replace(params, fb11=sat1, fb22=sat2)
-    if kind == "saturated":
-        return replace(params, fb11=min(params.fb11, sat1), fb22=min(params.fb22, sat2))
     raise ValueError(f"unknown variant kind {kind!r}; expected one of {VARIANT_KINDS}")
 
 

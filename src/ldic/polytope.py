@@ -50,10 +50,6 @@ from .bounds import BoundSet
 SCALE = 6
 
 
-class UnboundedRegionError(ValueError):
-    """Raised when a constraint set fails to cap one of the coordinates."""
-
-
 class RatePoint(collections.namedtuple("RatePoint", ["r1", "r2"])):
     """A non-negative rate pair with exact rational coordinates."""
 
@@ -83,11 +79,7 @@ class RatePolytope:
 
     @classmethod
     def from_bounds(cls, bounds: BoundSet) -> "RatePolytope":
-        cs = bounds.constraints
-        if not any(c.r1_coeff > 0 for c in cs) or not any(c.r2_coeff > 0 for c in cs):
-            raise UnboundedRegionError("constraint set does not cap both coordinates")
-
-        rows = [(c.r1_coeff, c.r2_coeff, c.rhs) for c in cs]
+        rows = [(c.r1_coeff, c.r2_coeff, c.rhs) for c in bounds.constraints]
         corners = set()
         for i, (a1, a2, a_rhs) in enumerate(rows):
             for b1, b2, b_rhs in rows[i + 1:]:

@@ -9,15 +9,14 @@ transmitter through a feedback link with its own exponent, arriving a fixed
 number of channel uses later.
 
 Encoders and decoders are caller-supplied. Encoders return int vectors and
-see int feedback; decoders see the int outputs. Messages and estimates are
-tuples of the ints 0 and 1. The session loop enforces only the causality
-contract: the encoder for channel use n sees the message and the feedback
-vectors delivered at uses 1..n-1, nothing else.
+see int feedback; decoders see the int outputs. A message and an estimate
+are each a ``str`` of the digits 0 and 1, first bit first. The session loop
+enforces only the causality contract: the encoder for channel use n sees the
+message and the feedback vectors delivered at uses 1..n-1, nothing else.
 """
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,14 +25,10 @@ from typing import Callable, NamedTuple
 
 from .params import ChannelParams
 
-# bit values <-> ASCII digits, for packing bit tuples through int(text, 2)
-_TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
-_FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
-
 
 def _is_bits(v) -> bool:
-    """True when every entry is the int 0 or 1; bools and floats are refused."""
-    return set(map(type, v)) <= {int} and set(v) <= {0, 1}
+    """True when v is a str of the digits 0 and 1; any other type is refused."""
+    return type(v) is str and not v.strip("01")
 
 
 def _check_vector(v, q: int, what: str) -> int:
@@ -126,10 +121,10 @@ class SessionResult:
         return (len(self.messages[0]), len(self.messages[1]))
 
 
-def _bit_error_rate(sent: tuple, estimated: tuple) -> Fraction:
+def _bit_error_rate(sent: str, estimated: str) -> Fraction:
     if not sent:
         return Fraction(0)
-    return Fraction(sum(map(operator.ne, sent, estimated)), len(sent))
+    return Fraction((int(sent, 2) ^ int(estimated, 2)).bit_count(), len(sent))
 
 
 def run_session(cfg: SimConfig, encoders, decoders, messages) -> SessionResult:
@@ -140,16 +135,15 @@ def run_session(cfg: SimConfig, encoders, decoders, messages) -> SessionResult:
     feedback vectors delivered so far. The history is the simulator's own
     list, which grows after the call: read it during the call, and copy it
     to keep it.
-    decoders: pair of callables (output_history) -> estimate bits, where the
-    history is a tuple of int output vectors and the estimate a tuple of
-    0/1 ints as long as the message.
-    messages: pair of bit tuples.
+    decoders: pair of callables (output_history) -> estimate, where the
+    history is a tuple of int output vectors and the estimate a str of the
+    digits 0 and 1 as long as the message.
+    messages: pair of str of the digits 0 and 1, first bit first.
     """
-    msg1 = tuple(messages[0])
-    msg2 = tuple(messages[1])
+    msg1, msg2 = messages
     for m, who in ((msg1, "message 1"), (msg2, "message 2")):
         if not _is_bits(m):
-            raise ValueError(f"{who} contains non-binary entries")
+            raise ValueError(f"{who} is not a str of 0/1 digits")
     enc1, enc2 = encoders
     dec1, dec2 = decoders
 
@@ -181,13 +175,13 @@ def run_session(cfg: SimConfig, encoders, decoders, messages) -> SessionResult:
         fb2_hist.append(fb2)
         trace.append(TraceStep(x1, x2, y1, y2, fb1, fb2))
 
-    est1 = tuple(dec1(tuple(y1_hist)))
-    est2 = tuple(dec2(tuple(y2_hist)))
+    est1 = dec1(tuple(y1_hist))
+    est2 = dec2(tuple(y2_hist))
     for est, msg, who in ((est1, msg1, "decoder 1"), (est2, msg2, "decoder 2")):
+        if not _is_bits(est):
+            raise ValueError(f"{who} did not return a str of 0/1 digits")
         if len(est) != len(msg):
             raise ValueError(f"{who} returned {len(est)} bits for a {len(msg)}-bit message")
-        if not _is_bits(est):
-            raise ValueError(f"{who} returned non-binary entries")
 
     return SessionResult(
         messages=(msg1, msg2),
@@ -208,9 +202,9 @@ class Scheme:
     decoders: Callable
 
 
-def _top_level_vector(bits: tuple, q: int) -> int:
+def _top_level_vector(bits: str, q: int) -> int:
     """The vector carrying `bits` on its top levels, the first bit on level 0."""
-    return int(b"0" + bytes(bits).translate(_TO_ASCII), 2) << (q - len(bits))
+    return int("0" + bits, 2) << (q - len(bits))
 
 
 def _landing_window_decoder(rate: int):
@@ -218,11 +212,10 @@ def _landing_window_decoder(rate: int):
     top-level burst of `rate` bits lands."""
     mask, spec = (1 << rate) - 1, f"0{rate}b"
 
-    def decode(outputs) -> tuple:
+    def decode(outputs) -> str:
         if not rate:
-            return ()
-        text = "".join([format(y & mask, spec) for y in outputs])
-        return tuple(text.encode().translate(_FROM_ASCII))
+            return ""
+        return "".join([format(y & mask, spec) for y in outputs])
 
     return decode
 
@@ -288,13 +281,14 @@ SCHEMES = {scheme.name: scheme for scheme in (POINT_TO_POINT, ECHO)}
 
 # Mersenne Twister words per draw_messages batch (16 KiB, about 2 048 bits).
 _DRAW_WORDS = 4096
-# Top byte of an MT word -> bit 30 as 0/1; the bytes with bit 31 set are deleted.
-_BIT30 = bytes(b >> 6 & 1 for b in range(256))
+# Top byte of an MT word -> bit 30 as the digit 0/1; the bytes with bit 31 set are deleted.
+_BIT30 = bytes(b"01"[b >> 6 & 1] for b in range(256))
 _BIT31_SET = bytes(range(128, 256))
 
 
 def draw_messages(lengths, seed) -> tuple:
-    """Deterministic random message bits; the seed drives nothing else.
+    """Deterministic random messages, each a str of the digits 0 and 1; the
+    seed drives nothing else.
 
     The bits are those of `rng.randrange(2)` called once per bit, message
     after message, on `random.Random(seed)`, drawn in batches. Each such
@@ -302,10 +296,10 @@ def draw_messages(lengths, seed) -> tuple:
     retries on 2 or 3, so each bit is bit 30 of the next word whose bit 31
     is 0. `getrandbits(32 * w)` yields w words, the first one least
     significant, so in its little-endian bytes every fourth byte from byte 3
-    is a word's top byte, in draw order; `translate` maps each to bit 30 and
-    deletes those with bit 31 set. Batches run until all the bits exist;
-    the generator is local, so the words drawn past the last bit are never
-    seen.
+    is a word's top byte, in draw order; `translate` maps each to the digit
+    of bit 30 and deletes those with bit 31 set. Batches run until all the
+    bits exist; the generator is local, so the words drawn past the last bit
+    are never seen.
     """
     lengths = tuple(lengths)
     rng = random.Random(seed)
@@ -316,10 +310,10 @@ def draw_messages(lengths, seed) -> tuple:
         batch = words[3::4].translate(_BIT30, _BIT31_SET)
         batches.append(batch)
         have += len(batch)
-    bits = b"".join(batches)
+    bits = b"".join(batches).decode("ascii")
     messages, start = [], 0
     for m in lengths:
-        messages.append(tuple(bits[start:start + m]))
+        messages.append(bits[start:start + m])
         start += m
     return tuple(messages)
 

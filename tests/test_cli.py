@@ -1,11 +1,22 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
 import ldic.metrics
-from ldic import ChannelParams, build_bounds, capacity_region, compute_metrics, derive_variant
+from ldic import (
+    SCHEMES,
+    ChannelParams,
+    build_bounds,
+    capacity_region,
+    compute_metrics,
+    derive_config,
+    derive_variant,
+    draw_messages,
+    run_scheme,
+)
 from ldic.cli import main
 from ldic.output import parse_rational, parse_region_document
 
@@ -194,6 +205,32 @@ def test_simulate_trace_and_determinism(capsys):
             assert len(step[key]) == session["q"]
             assert set(step[key]) <= {"0", "1"}
     assert len(session["messages"][0]) == 3
+
+
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_simulate_document_carries_the_session_text(capsys, scheme, trace):
+    params = ChannelParams(6, 5, 4, 3, 5, 4)
+    argv = [
+        "simulate", "--n11", "6", "--n22", "5", "--n12", "4", "--n21", "3",
+        "--fb11", "5", "--fb22", "4", "--scheme", scheme,
+        "--block-length", "7", "--seed", "21", *(["--trace"] if trace else []),
+    ]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    session = json.loads(out)["session"]
+    cfg = derive_config(params, delay=1, block_length=7)
+    lengths = SCHEMES[scheme].message_lengths(cfg)
+    result = run_scheme(cfg, SCHEMES[scheme], draw_messages(lengths, 21))
+    assert session["messages"] == list(result.messages)
+    assert session["estimates"] == list(result.estimates)
+    assert session["message_lengths"] == list(lengths)
+    assert [len(m) for m in session["messages"]] == list(lengths)
+    assert [len(e) for e in session["estimates"]] == list(lengths)
+    for user, (sent, estimate) in enumerate(zip(session["messages"], session["estimates"]), 1):
+        wrong = sum(a != b for a, b in zip(sent, estimate))
+        assert parse_rational(session[f"p{user}"]) == Fraction(wrong, len(sent))
+    assert session["p1"] != "0/1" or session["p2"] != "0/1"
 
 
 def test_usage_errors_exit_with_two(capsys):

@@ -6,10 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from ldic import ChannelParams, capacity_region, sweep
 from ldic.output import (
-    bit_string,
     format_decimal,
     format_rational,
-    parse_bit_string,
     parse_rational,
     parse_region_document,
     parse_surface_document,
@@ -36,14 +34,6 @@ def test_decimal_field_is_six_places():
 def test_parse_rational_inverts_format():
     for value in (Fraction(3, 2), Fraction(0), Fraction(22, 7), Fraction(10)):
         assert parse_rational(format_rational(value)) == value
-
-
-def test_bit_strings():
-    assert bit_string((1, 0, 1, 1)) == "1011"
-    assert bit_string(()) == ""
-    assert parse_bit_string("1011") == (1, 0, 1, 1)
-    with pytest.raises(ValueError):
-        parse_bit_string("10x1")
 
 
 def test_region_document_fields():

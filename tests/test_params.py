@@ -62,23 +62,9 @@ def test_derive_variant_no_feedback():
     assert derive_variant(p, "no_feedback") == ChannelParams(20, 15, 12, 13, 0, 0)
 
 
-def test_derive_variant_saturated_caps_without_raising():
-    p = ChannelParams(7, 8, 15, 13, 99, 9)
-    assert derive_variant(p, "saturated") == ChannelParams(7, 8, 15, 13, 15, 9)
-
-
 def test_derive_variant_rejects_unknown_kind():
     with pytest.raises(ValueError):
         derive_variant(ChannelParams(1, 1, 0, 0), "half_feedback")
-
-
-@given(exponents, exponents, exponents, exponents, exponents, exponents)
-def test_saturated_never_exceeds_perfect(f1, f2, i12, i21, b1, b2):
-    p = ChannelParams(f1, f2, i12, i21, b1, b2)
-    sat = derive_variant(p, "saturated")
-    perfect = derive_variant(p, "perfect_feedback")
-    assert sat.fb11 <= perfect.fb11 and sat.fb22 <= perfect.fb22
-    assert sat.fb11 <= p.fb11 and sat.fb22 <= p.fb22
 
 
 def test_gaussian_requires_ratios_of_at_least_one():

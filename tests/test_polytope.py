@@ -1,5 +1,4 @@
 import random
-import types
 from fractions import Fraction
 
 import pytest
@@ -11,9 +10,8 @@ from ldic import (
     RatePolytope,
     capacity_region,
 )
-from ldic.bounds import BoundSet, Constraint
+from ldic.bounds import BoundSet
 from ldic.params import MAX_EXPONENT
-from ldic.polytope import UnboundedRegionError
 
 from helpers import (
     constraint_mask,
@@ -70,14 +68,6 @@ def test_degenerate_segment_region():
     assert poly.vertices == (RatePoint(0, 0), RatePoint(0, Fraction(9, 2)))
     poly = region_from_caps(7, 0, 9, 9, 9)
     assert poly.vertices == (RatePoint(Fraction(9, 2), 0), RatePoint(0, 0))
-
-
-def test_unbounded_guard_fires_on_malformed_input():
-    stub = types.SimpleNamespace(
-        constraints=(Constraint(0, 1, 5), Constraint(-1, 0, 0), Constraint(0, -1, 0))
-    )
-    with pytest.raises(UnboundedRegionError):
-        RatePolytope.from_bounds(stub)
 
 
 def test_contains_examples():

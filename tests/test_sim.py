@@ -30,6 +30,11 @@ def bits_of(v, q):
     return tuple(int(ch) for ch in format(v, f"0{q}b"))
 
 
+def as_text(messages):
+    """Bit tuples as the simulator's 0/1 text, first bit first."""
+    return tuple("".join(map(str, bits)) for bits in messages)
+
+
 def test_derive_config_examples():
     assert derive_config(ChannelParams(20, 15, 12, 13), 1, 8).q == 20
     assert derive_config(ChannelParams(10, 10, 3, 8), 1, 4).q == 10
@@ -115,7 +120,7 @@ def test_point_to_point_round_trip():
 def test_zero_messages_stay_zero_through_the_echo_loop():
     cfg = derive_config(ChannelParams(4, 4, 2, 2, 4, 4), delay=1, block_length=5)
     lengths = ECHO.message_lengths(cfg)
-    result = run_scheme(cfg, ECHO, ((0,) * lengths[0], (0,) * lengths[1]))
+    result = run_scheme(cfg, ECHO, ("0" * lengths[0], "0" * lengths[1]))
     assert result.p1 == 0 and result.p2 == 0
     for step in result.trace:
         assert step.y1 == 0 and step.fb2 == 0
@@ -124,8 +129,8 @@ def test_zero_messages_stay_zero_through_the_echo_loop():
 def test_complement_decoder_scores_total_error():
     cfg = derive_config(ChannelParams(3, 3, 0, 0), delay=1, block_length=1)
     encoders = POINT_TO_POINT.encoders(cfg)
-    flip = lambda outputs: tuple(1 - b for y in outputs for b in bits_of(y, cfg.q)[cfg.q - 3:])
-    message = (1, 0, 1)
+    flip = lambda outputs: "".join(format(y ^ 0b111, "03b") for y in outputs)
+    message = "101"
     result = run_session(cfg, encoders, (flip, flip), (message, message))
     assert result.p1 == 1 and result.p2 == 1
 
@@ -135,11 +140,11 @@ def test_error_rate_counts_the_mismatch_fraction():
     encoders = POINT_TO_POINT.encoders(cfg)
 
     def stuck_low_bit(outputs):
-        y = bits_of(outputs[0], 4)
-        return y[:3] + (1 - y[3],)
+        y = format(outputs[0], "04b")
+        return y[:3] + "10"[int(y[3])]
 
-    identity = lambda outputs: bits_of(outputs[0], 4)
-    result = run_session(cfg, encoders, (stuck_low_bit, identity), ((1, 1, 0, 0),) * 2)
+    identity = lambda outputs: format(outputs[0], "04b")
+    result = run_session(cfg, encoders, (stuck_low_bit, identity), ("1100",) * 2)
     assert result.p1 == Fraction(1, 4)
     assert result.p2 == 0
 
@@ -147,34 +152,40 @@ def test_error_rate_counts_the_mismatch_fraction():
 def test_empty_message_has_zero_error_rate():
     cfg = derive_config(ChannelParams(4, 0, 0, 0), delay=1, block_length=2)
     messages = draw_messages(POINT_TO_POINT.message_lengths(cfg), seed=0)
-    assert messages[1] == ()
+    assert messages[1] == ""
     result = run_scheme(cfg, POINT_TO_POINT, messages)
     assert result.p2 == 0
 
 
 def test_run_session_rejects_malformed_encoders_and_decoders():
     cfg = derive_config(ChannelParams(2, 2, 0, 0), delay=1, block_length=1)
-    good_enc = lambda message, feedback: message[0] << 1 | message[1]
+    good_enc = lambda message, feedback: int(message, 2)
     bad_encs = tuple(
         lambda message, feedback, bad=bad: bad
         for bad in ((1,), (1.0, 0.0), (True, False), (1, 0), True, 1.0, -1, 1 << cfg.q)
     )
-    good_dec = lambda outputs: bits_of(outputs[0], 2)
-    bad_decs = (
-        lambda outputs: (0,),
-        lambda outputs: (True, False),
-        lambda outputs: (2, 0),
-        lambda outputs: (1.0, 0.0),
+    good_dec = lambda outputs: format(outputs[0], "02b")
+    # int(text, 2) takes spaces and underscores, so "1 ", "1_01" and " 101"
+    # below are refused by the digit check alone
+    bad_decs = tuple(
+        lambda outputs, bad=bad: bad
+        for bad in (
+            (0,), (True, False), (2, 0), (1.0, 0.0), (1, 0), b"10", "2", "21", "1 ", "1", "100",
+        )
     )
-    msg = ((1, 0), (0, 1))
+    msg = ("10", "01")
     for bad_enc in bad_encs:
         with pytest.raises(ValueError):
             run_session(cfg, (bad_enc, good_enc), (good_dec, good_dec), msg)
     for bad_dec in bad_decs:
         with pytest.raises(ValueError):
             run_session(cfg, (good_enc, good_enc), (bad_dec, good_dec), msg)
-    with pytest.raises(ValueError):
-        run_session(cfg, (good_enc, good_enc), (good_dec, good_dec), ((1, 2), (0, 1)))
+    # an encoder and a decoder that accept anything, so only the message check can refuse
+    quiet_enc = lambda message, feedback: 0
+    for bad_msg in ((1, 2), (1, 0), [1, 0], b"10", "0120", "1_01", " 101"):
+        zeros = lambda outputs, n=len(bad_msg): "0" * n
+        with pytest.raises(ValueError):
+            run_session(cfg, (quiet_enc, good_enc), (zeros, good_dec), (bad_msg, "01"))
 
 
 def test_feedback_arrives_after_the_configured_delay():
@@ -199,8 +210,8 @@ def test_encoder_sees_exactly_the_feedback_delivered_before_each_use():
         return 0b101 if len(feedback) % 2 else 0b011
 
     partner = lambda message, feedback: 0b110
-    decoder = lambda outputs: ()
-    result = run_session(cfg, (recording_encoder, partner), (decoder, decoder), ((), ()))
+    decoder = lambda outputs: ""
+    result = run_session(cfg, (recording_encoder, partner), (decoder, decoder), ("", ""))
     assert any(step.fb1 != 0 for step in result.trace)
     assert len(snapshots) == cfg.block_length
     for n, snapshot in enumerate(snapshots, start=1):
@@ -219,7 +230,7 @@ def test_altering_late_inputs_cannot_reach_earlier_feedback():
     altered_script = list(base_script)
     altered_script[change_at - 1] = 0b111
     partner = lambda message, feedback: 0b101
-    decoder = lambda outputs: ()
+    decoder = lambda outputs: ""
 
     runs = []
     for script in (base_script, altered_script):
@@ -228,7 +239,7 @@ def test_altering_late_inputs_cannot_reach_earlier_feedback():
                 cfg,
                 (scripted_encoder(script), partner),
                 (decoder, decoder),
-                ((), ()),
+                ("", ""),
             )
         )
     before, after = runs
@@ -257,17 +268,18 @@ def test_draw_messages_is_seed_stable():
 def test_draw_messages_matches_one_randrange_per_bit():
     for lengths in ((), (0,), (0, 0), (1,), (0, 1), (1, 0), (1, 1)):
         for seed in (0, 1, -3, 2**40, "seed"):
-            assert draw_messages(lengths, seed) == reference_draw(lengths, seed)
+            assert draw_messages(lengths, seed) == as_text(reference_draw(lengths, seed))
     # a batch of _DRAW_WORDS words yields about half as many bits
     for lengths in ((3 * _DRAW_WORDS, 0), (0, 3 * _DRAW_WORDS), (2 * _DRAW_WORDS, _DRAW_WORDS + 7)):
         for seed in (5, 6, 7):
-            assert draw_messages(lengths, seed) == reference_draw(lengths, seed)
+            assert draw_messages(lengths, seed) == as_text(reference_draw(lengths, seed))
     rng = random.Random(20261018)
     for seed in range(250):
         lengths = (rng.randint(0, 40), rng.randint(0, 40))
         if seed % 10 == 0:
             lengths = (rng.randint(0, 2 * _DRAW_WORDS), rng.randint(0, 2 * _DRAW_WORDS))
-        assert draw_messages(lengths, seed) == reference_draw(lengths, seed), (lengths, seed)
+        expected = as_text(reference_draw(lengths, seed))
+        assert draw_messages(lengths, seed) == expected, (lengths, seed)
 
 
 def test_scheme_registry():
@@ -348,20 +360,20 @@ def test_sessions_match_the_tuple_oracle(case):
             return encode
 
         encoders = tuple(map(encoder, scripts))
-        decoders = tuple(lambda outputs, w=w: bits_of(outputs[-1], q)[:w] for w in widths)
+        decoders = tuple(lambda outputs, w=w: format(outputs[-1], f"0{q}b")[:w] for w in widths)
         reference_encoders = tuple(map(reference_encoder, scripts))
         reference_decoders = tuple(lambda outputs, w=w: outputs[-1][:w] for w in widths)
         messages = reference_draw(widths, seed)
-        result = run_session(cfg, encoders, decoders, messages)
+        result = run_session(cfg, encoders, decoders, as_text(messages))
     else:
         lengths, reference_encoders, reference_decoders = reference_scheme(kind, params, block_length)
         assert SCHEMES[kind].message_lengths(cfg) == lengths
         messages = reference_draw(lengths, seed)
-        result = run_scheme(cfg, SCHEMES[kind], messages)
+        result = run_scheme(cfg, SCHEMES[kind], as_text(messages))
     trace, estimates, p1, p2 = reference_session(
         params, delay, block_length, reference_encoders, reference_decoders, messages
     )
     assert [tuple(bits_of(v, q) for v in step) for step in result.trace] == trace
-    assert result.messages == messages
-    assert result.estimates == estimates
+    assert result.messages == as_text(messages)
+    assert result.estimates == as_text(estimates)
     assert (result.p1, result.p2) == (p1, p2)
