@@ -14,11 +14,14 @@ Every other term reads the forward links alone, and the sum cap is
 
     min(SUM_INTERFERENCE, base + credit1(fb11) + credit2(fb22)).
 
-So the bound set at (fb11, fb22) = (a, b) is composed from link 1's terms at
-level a and link 2's at level b. ``build_bounds`` composes one channel this
-way, and ``cap_profiles`` tabulates each link's terms once per level, so a
-sweep over every level pair evaluates O(S1 + S2) link terms instead of
-O(S1 * S2) bound sets.
+So the bound set at (fb11, fb22) = (a, b) is composed, by ``compose_bounds``
+alone, from link 1's terms at level a and link 2's at level b;
+``build_bounds`` composes one channel this way. ``link_profile`` lists a
+link's distinct terms over every level up to saturation, so a sweep
+evaluates O(S1 + S2) link terms and composes one bound set per pair of
+distinct terms. Distinct pairs have distinct caps: the 2*Ri + R_link cap is
+a constant plus the link's credit, so it fixes the credit, and a cap's value
+fixes its source, because the interference evaluation wins ties.
 
 All arithmetic is exact signed-integer. Intermediate expressions may go
 negative before their clip; ``_pos`` applies the clip exactly where each
@@ -237,38 +240,31 @@ def _link_terms(p: ChannelParams, link: int, level: int) -> tuple:
     return cap, _weighted(p, other, level), _feedback_credit(p, link, level)
 
 
-def cap_profiles(params: ChannelParams) -> tuple:
-    """Each feedback link's terms at every level up to its saturation, as plain ints.
+def link_profile(params: ChannelParams, link: int) -> tuple:
+    """One feedback link's distinct terms over every level up to its saturation.
 
-    Returns (link1, link2, sum_interference, sum_base). ``link1[a]`` is
-    (R2 cap, R1+2*R2 cap, link 1's credit) at fb11 = a, ``link2[b]`` is
-    (R1 cap, 2*R1+R2 cap, link 2's credit) at fb22 = b; the feedback levels
-    of ``params`` are ignored. The five caps of ``build_bounds`` at
-    (fb11, fb22) = (a, b) are then, in canonical order,
-
-        link2[b][0], link1[a][0],
-        min(sum_interference, sum_base + link1[a][2] + link2[b][2]),
-        link2[b][1], link1[a][1].
+    Returns (terms, index): ``terms`` lists the distinct ``_link_terms``
+    values in order of the lowest level that gives each, and
+    ``index[level]`` is the position of that level's terms in ``terms``.
+    The feedback levels of ``params`` are ignored.
     """
-
-    def profile(link):
-        terms = (_link_terms(params, link, level)
-                 for level in range(params.feedback_saturation(link) + 1))
-        return [(cap, weighted, credit) for (cap, _), weighted, credit in terms]
-
-    return profile(1), profile(2), _sum_interference(params), _sum_base(params)
+    values = [_link_terms(params, link, level)
+              for level in range(params.feedback_saturation(link) + 1)]
+    position = {value: i for i, value in enumerate(dict.fromkeys(values))}
+    return list(position), [position[value] for value in values]
 
 
-def build_bounds(params: ChannelParams) -> BoundSet:
-    """Evaluate all eight bounds and assemble the region's inequality description.
+def compose_bounds(params: ChannelParams, terms1: tuple, terms2: tuple) -> BoundSet:
+    """The region's inequality description from each link's ``_link_terms``.
 
     Each canonical right-hand side is the minimum over its contributing
-    evaluations, composed from the two links' terms at the channel's own
-    feedback levels and the forward-only sum terms; redundant constraints are
-    kept (pruning is the polytope engine's concern, not this one's).
+    evaluations: ``terms1`` are link 1's terms, ``terms2`` link 2's, and the
+    sum cap also reads the forward-only sum terms of ``params``. Redundant
+    constraints are kept (pruning is the polytope engine's concern, not this
+    one's).
     """
-    (r2_cap, r2_src), weighted_2r2_r1, credit1 = _link_terms(params, 1, params.fb11)
-    (r1_cap, r1_src), weighted_2r1_r2, credit2 = _link_terms(params, 2, params.fb22)
+    (r2_cap, r2_src), weighted_2r2_r1, credit1 = terms1
+    (r1_cap, r1_src), weighted_2r1_r2, credit2 = terms2
     sum_cap, sum_src = _min_with_source(
         (_sum_interference(params), Bound.SUM_INTERFERENCE),
         (_sum_base(params) + credit1 + credit2, Bound.SUM_FEEDBACK),
@@ -282,6 +278,18 @@ def build_bounds(params: ChannelParams) -> BoundSet:
             Constraint(1, 2, weighted_2r2_r1, Bound.WEIGHTED_2R2_R1),
         )
         + NONNEGATIVITY
+    )
+
+
+def build_bounds(params: ChannelParams) -> BoundSet:
+    """Evaluate all eight bounds and assemble the region's inequality description.
+
+    Composed from the two links' terms at the channel's own feedback levels.
+    """
+    return compose_bounds(
+        params,
+        _link_terms(params, 1, params.fb11),
+        _link_terms(params, 2, params.fb22),
     )
 
 

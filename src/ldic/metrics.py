@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .bounds import BoundSet, cap_profiles, capacity_region
+from .bounds import capacity_region, compose_bounds, link_profile
 from .params import ChannelParams, derive_variant
 from .polytope import SCALE, RatePolytope
 
@@ -63,9 +63,13 @@ class ThresholdReport:
 
 @dataclass(frozen=True)
 class MetricSurface:
-    """Metrics for every integer feedback pair up to the saturation grid."""
+    """Metrics for every integer feedback pair up to the saturation grid.
 
-    base: ChannelParams
+    ``cells`` maps (fb11, fb22) to its MetricsResult, in fb11-major,
+    fb22-minor order, both ascending; cells with the same caps share one
+    MetricsResult.
+    """
+
     cells: dict
 
 
@@ -179,24 +183,23 @@ def sweep(params: ChannelParams) -> MetricSurface:
     """Metrics at every integer feedback pair on the saturation grid.
 
     Values beyond saturation repeat the edge of the grid, so the grid stops
-    there. Each link's caps depend on its own feedback level alone (see
-    ``bounds``), so they are tabulated once per level, O(S1 + S2) link
-    evaluations, and a cell's five caps are two lookups, one add and one
-    min. Cells whose caps agree have the same region and so the same
-    metrics; each distinct cap tuple is built and measured once per call.
+    there. Each link's terms depend on its own feedback level alone (see
+    ``bounds``), so each link is evaluated once per level, O(S1 + S2) link
+    evaluations, and one region is built and measured per pair of distinct
+    link terms. A cell is then two index lookups into that table. Cells
+    run fb11-major, fb22-minor, both ascending.
     """
     base_params, base = _base(params)
-    link1, link2, sum_interference, sum_base = cap_profiles(base_params)
-    by_caps = {}
+    terms1, index1 = link_profile(base_params, 1)
+    terms2, index2 = link_profile(base_params, 2)
+    table = [
+        [_cell(RatePolytope.from_bounds(compose_bounds(base_params, t1, t2)), base)
+         for t2 in terms2]
+        for t1 in terms1
+    ]
     cells = {}
-    for fb11, (r2_cap, weighted_2r2_r1, credit1) in enumerate(link1):
-        row_base = sum_base + credit1
-        for fb22, (r1_cap, weighted_2r1_r2, credit2) in enumerate(link2):
-            caps = (r1_cap, r2_cap, min(sum_interference, row_base + credit2),
-                    weighted_2r1_r2, weighted_2r2_r1)
-            cell = by_caps.get(caps)
-            if cell is None:
-                region = RatePolytope.from_bounds(BoundSet.from_caps(*caps))
-                cell = by_caps[caps] = _cell(region, base)
-            cells[(fb11, fb22)] = cell
-    return MetricSurface(base=base_params, cells=cells)
+    for fb11, i in enumerate(index1):
+        row = table[i]
+        for fb22, j in enumerate(index2):
+            cells[(fb11, fb22)] = row[j]
+    return MetricSurface(cells=cells)

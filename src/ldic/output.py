@@ -152,10 +152,9 @@ def metrics_document(params: ChannelParams, result: MetricsResult, thresholds, u
 
 def _surface_rows(surface: MetricSurface):
     # cells with the same caps share one MetricsResult: format each once,
-    # keyed by identity; rows run fb11-major, fb22-minor, both ascending
+    # keyed by identity; rows keep the cells' fb11-major, fb22-minor order
     fields, rows = {}, []
-    for fb11, fb22 in sorted(surface.cells):
-        result = surface.cells[(fb11, fb22)]
+    for (fb11, fb22), result in surface.cells.items():
         if id(result) not in fields:
             fields[id(result)] = _metrics_fields(result)
         rows.append({"fb11": fb11, "fb22": fb22, **fields[id(result)]})

@@ -69,34 +69,28 @@ def derive_config(params: ChannelParams, delay: int = 1, block_length: int = 1) 
     return SimConfig(params=params, delay=delay, block_length=block_length)
 
 
-def _forward_shifts(cfg: SimConfig) -> tuple:
-    """Down-shifts of the links into receiver 1 (direct, cross) and receiver 2 (direct, cross)."""
+def _shifts(cfg: SimConfig) -> tuple:
+    """Down-shifts of every link: into receiver 1 (direct, cross), into
+    receiver 2 (direct, cross), and the feedback links 1 and 2."""
     q, p = cfg.q, cfg.params
-    return q - p.fwd11, q - p.inr12, q - p.fwd22, q - p.inr21
-
-
-def _feedback_shift(cfg: SimConfig, link: int) -> int:
-    if link == 1:
-        fb = cfg.params.fb11
-    elif link == 2:
-        fb = cfg.params.fb22
-    else:
-        raise ValueError(f"link must be 1 or 2, got {link!r}")
-    return max(cfg.q - fb, 0)
+    return (q - p.fwd11, q - p.inr12, q - p.fwd22, q - p.inr21,
+            max(q - p.fb11, 0), max(q - p.fb22, 0))
 
 
 def forward_outputs(x1: int, x2: int, cfg: SimConfig):
     """Receiver outputs for one channel use: own signal XOR cross signal, each attenuated."""
     x1 = _check_vector(x1, cfg.q, "x1")
     x2 = _check_vector(x2, cfg.q, "x2")
-    s11, s12, s22, s21 = _forward_shifts(cfg)
+    s11, s12, s22, s21, _, _ = _shifts(cfg)
     return (x1 >> s11) ^ (x2 >> s12), (x2 >> s22) ^ (x1 >> s21)
 
 
 def feedback_signal(y_past: int, link: int, cfg: SimConfig) -> int:
     """What a transmitter's feedback link delivers from its receiver's old output."""
-    shift = _feedback_shift(cfg, link)
-    return _check_vector(y_past, cfg.q, "y_past") >> shift
+    if link not in (1, 2):
+        raise ValueError(f"link must be 1 or 2, got {link!r}")
+    f1, f2 = _shifts(cfg)[4:]
+    return _check_vector(y_past, cfg.q, "y_past") >> (f1 if link == 1 else f2)
 
 
 class TraceStep(NamedTuple):
@@ -148,8 +142,7 @@ def run_session(cfg: SimConfig, encoders, decoders, messages) -> SessionResult:
     dec1, dec2 = decoders
 
     q, delay = cfg.q, cfg.delay
-    s11, s12, s22, s21 = _forward_shifts(cfg)
-    f1, f2 = _feedback_shift(cfg, 1), _feedback_shift(cfg, 2)
+    s11, s12, s22, s21, f1, f2 = _shifts(cfg)
     top = 1 << q
     y1_hist, y2_hist = [], []
     fb1_hist, fb2_hist = [], []

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ldic import ChannelParams, build_bounds, derive_variant
-from ldic.bounds import Bound, BoundSet, Constraint, _link_terms, cap_profiles, evaluate_bound
+from ldic.bounds import (
+    Bound, BoundSet, Constraint, _link_terms, compose_bounds, evaluate_bound, link_profile,
+)
 from ldic.params import MAX_EXPONENT
 
 from helpers import caps_of
@@ -229,10 +231,30 @@ def test_bound_set_composes_from_each_links_terms(case):
         assert constraint.rhs == min(values)
         assert constraint.source == candidates[values.index(min(values))]
 
+    terms1, terms2 = _link_terms(params, 1, level1), _link_terms(params, 2, level2)
+    assert compose_bounds(params, terms1, terms2) == expected
+
     if max(params.feedback_saturation(1), params.feedback_saturation(2)) <= 40:
-        link1, link2, sum_int, sum_base = cap_profiles(params)
-        assert (sum_int, sum_base) == (sum_interference, sum_feedback - credit1 - credit2)
-        assert link1[level1] == (r2_cap, weighted_2r2_r1, credit1)
-        assert link2[level2] == (r1_cap, weighted_2r1_r2, credit2)
-        assert len(link1) == params.feedback_saturation(1) + 1
-        assert len(link2) == params.feedback_saturation(2) + 1
+        for link in (1, 2):
+            distinct, index = link_profile(params, link)
+            levels = range(params.feedback_saturation(link) + 1)
+            assert [distinct[i] for i in index] == [_link_terms(params, link, k) for k in levels]
+            # each listed once, in order of the lowest level that gives it
+            assert len(set(distinct)) == len(distinct)
+            assert list(dict.fromkeys(index)) == list(range(len(distinct)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[st.integers(0, 40)] * 4))
+def test_distinct_link_terms_pair_one_to_one_with_distinct_caps(exponents):
+    # the 2*Ri + R_link cap fixes the link's credit and a cap's value fixes
+    # its source, so no two pairs of distinct link terms give equal caps
+    params = ChannelParams(*exponents)
+    terms1, _ = link_profile(params, 1)
+    terms2, _ = link_profile(params, 2)
+    distinct = {
+        caps_of(build_bounds(dataclasses.replace(params, fb11=fb11, fb22=fb22)))
+        for fb11 in range(params.feedback_saturation(1) + 1)
+        for fb22 in range(params.feedback_saturation(2) + 1)
+    }
+    assert len(terms1) * len(terms2) == len(distinct)

@@ -22,6 +22,7 @@ from ldic import (
     sigma,
     sweep,
 )
+from ldic.bounds import link_profile
 from ldic.metrics import MetricsResult, ThresholdReport, metrics_report
 from ldic.params import MAX_EXPONENT
 
@@ -219,7 +220,6 @@ def test_sweep_grid_shape_and_edges():
     assert set(surface.cells) == {
         (i, j) for i in range(sat1 + 1) for j in range(sat2 + 1)
     }
-    assert surface.base == derive_variant(params, "no_feedback")
     zero = surface.cells[(0, 0)]
     assert (zero.delta1, zero.delta2, zero.sigma) == (0, 0, 0)
 
@@ -232,7 +232,7 @@ def test_sweep_reproduces_the_pointwise_metrics():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.tuples(*[st.integers(0, 8)] * 4))
+@given(st.one_of(st.tuples(*[st.integers(0, 8)] * 4), st.tuples(*[st.integers(0, 30)] * 4)))
 def test_every_sweep_cell_matches_compute_metrics(exponents):
     params = ChannelParams(*exponents)
     for (fb11, fb22), cell in sweep(params).cells.items():
@@ -260,6 +260,26 @@ def test_sweep_builds_one_region_per_distinct_cap_tuple(monkeypatch, params):
     assert len(distinct) < len(surface.cells)
     # the +1 is the no-feedback base region
     assert len(builds) <= len(distinct) + 1
+
+
+@pytest.mark.parametrize(
+    "params",
+    [ChannelParams(6, 5, 3, 4), ChannelParams(7, 8, 15, 13), ChannelParams(150, 147, 75, 151)],
+)
+def test_sweep_builds_one_region_per_pair_of_distinct_link_terms(monkeypatch, params):
+    builds = []
+    from_bounds = RatePolytope.from_bounds.__func__
+
+    def counting_from_bounds(cls, bounds):
+        builds.append(bounds)
+        return from_bounds(cls, bounds)
+
+    monkeypatch.setattr(RatePolytope, "from_bounds", classmethod(counting_from_bounds))
+    sweep(params)
+    terms1, _ = link_profile(params, 1)
+    terms2, _ = link_profile(params, 2)
+    # the +1 is the no-feedback base region
+    assert len(builds) == len(terms1) * len(terms2) + 1
 
 
 @pytest.mark.parametrize(
