@@ -205,12 +205,14 @@ class BoundSet:
         upper = tuple(Constraint(a, b, rhs) for (a, b), rhs in zip(CANONICAL_FORMS, caps))
         return cls(upper + NONNEGATIVITY)
 
+    @property
+    def caps(self) -> tuple:
+        """The five canonical right-hand sides, in ``CANONICAL_FORMS`` order."""
+        return tuple(c.rhs for c in self.constraints[:len(CANONICAL_FORMS)])
+
     def cap(self, r1_coeff: int, r2_coeff: int) -> int:
         """Right-hand side of the canonical constraint with these coefficients."""
-        for c in self.constraints:
-            if (c.r1_coeff, c.r2_coeff) == (r1_coeff, r2_coeff):
-                return c.rhs
-        raise KeyError(f"no constraint with coefficients ({r1_coeff}, {r2_coeff})")
+        return dict(zip(CANONICAL_FORMS, self.caps))[(r1_coeff, r2_coeff)]
 
 
 _INDIVIDUAL = {

@@ -1,5 +1,8 @@
 """Exact rational 2-D polytope engine for rate regions.
 
+Its only job is vertices: the corners ``ldic region`` prints and the public
+geometry API reads. The metrics read a bound set's caps instead.
+
 Regions are intersections of half-planes with small integer coefficients.
 Vertices are enumerated by intersecting every pair of constraint lines and
 keeping the feasible intersections; for constraint sets of the canonical
@@ -19,14 +22,6 @@ up to sign, and every vertex lies in (1/6)Z. A feasible crossing is
 therefore kept as the integer pair (6*n1/det, 6*n2/det), which is exact and
 a unique key for the point. The scaled pairs are what a region stores, as
 ``scaled``; the Fraction vertices are derived from them on first read.
-
-Slices and linear maxima run on those integers too. The free coefficient of
-a canonical upper bound is 1 or 2, so the cap a constraint puts on the free
-coordinate at fixed value num/den is (rhs*den - fixed*num) / (free*den),
-and times 2*den that is an integer. At a vertex coordinate (den 6) every
-slice cap therefore lies in (1/12)Z, and a linear maximum with integer
-weights, attained at a vertex, lies in (1/6)Z. The public ``slice_max`` and
-``max_linear`` divide once at the end.
 
 The canonical upper bounds all have non-negative coefficients, so a region
 is down-closed: its corners are (R1max, 0), the upper boundary with r1
@@ -70,8 +65,7 @@ class RatePolytope:
     counter-clockwise starting from the one with maximal r1 (ties broken
     toward minimal r2). Degenerate regions are first-class: a single point
     has one vertex, a segment two. ``vertices`` is the same tuple as exact
-    RatePoints, made on first read; a region that is only measured through
-    ``scaled`` never builds a Fraction.
+    RatePoints, made on first read.
     """
 
     bounds: BoundSet
@@ -123,28 +117,25 @@ class RatePolytope:
         """
         return self.scaled == other.scaled
 
-    def scaled_max(self, c1: int, c2: int) -> int:
-        """SCALE times the maximum of c1*r1 + c2*r2 over the region, an exact int."""
-        if (c1, c2) == (0, 0):
-            raise ValueError("objective must be a nonzero functional")
-        return max(c1 * x + c2 * y for x, y in self.scaled)
-
     def max_linear(self, c1: int, c2: int) -> Fraction:
         """Exact maximum of c1*r1 + c2*r2 over the region (attained at a vertex)."""
-        return Fraction(self.scaled_max(c1, c2), SCALE)
+        if (c1, c2) == (0, 0):
+            raise ValueError("objective must be a nonzero functional")
+        return Fraction(max(c1 * x + c2 * y for x, y in self.scaled), SCALE)
 
-    def scaled_slice(self, axis: int, num: int, den: int) -> Optional[int]:
-        """2*den times the maximal free coordinate on the slice at num/den, an exact int.
+    def slice_max(self, axis: int, value) -> Optional[Fraction]:
+        """Maximal free coordinate on the slice with coordinate `axis` fixed.
 
-        axis=2 fixes r2 = num/den and bounds r1; axis=1 the reverse. den must
-        be positive. Returns None when the slice misses the region. Computed
-        as the tightest cap each constraint induces on the free coordinate;
-        free coefficients are 1 or 2, so each scaled cap is an integer.
+        axis=2 fixes r2 = value and returns the largest feasible r1; axis=1
+        the reverse. Returns None when the slice misses the region. Each
+        constraint caps the free coordinate; times 2*den that cap is an int.
         """
         if axis not in (1, 2):
             raise ValueError(f"axis must be 1 or 2, got {axis!r}")
-        if num < 0:
-            raise ValueError(f"fixed coordinate must be non-negative, got {Fraction(num, den)}")
+        value = Fraction(value)
+        if value < 0:
+            raise ValueError(f"fixed coordinate must be non-negative, got {value}")
+        num, den = value.numerator, value.denominator
 
         best = None
         for c in self.bounds.constraints:
@@ -154,7 +145,7 @@ class RatePolytope:
                 free_coeff, fixed_coeff = c.r2_coeff, c.r1_coeff
             residual = c.rhs * den - fixed_coeff * num  # den times (rhs - fixed_coeff*value)
             if free_coeff > 0:
-                cap = 2 * residual // free_coeff
+                cap = 2 * residual // free_coeff  # exact: free_coeff is 1 or 2
                 if best is None or cap < best:
                     best = cap
             elif free_coeff == 0 and residual < 0:
@@ -162,15 +153,4 @@ class RatePolytope:
             # free_coeff < 0 is the non-negativity floor, folded into best < 0 below
         if best is None or best < 0:
             return None
-        return best
-
-    def slice_max(self, axis: int, value) -> Optional[Fraction]:
-        """Maximal free coordinate on the slice with coordinate `axis` fixed.
-
-        axis=2 fixes r2 = value and returns the largest feasible r1; axis=1
-        the reverse. Returns None when the slice misses the region.
-        """
-        value = Fraction(value)
-        den = value.denominator
-        cap = self.scaled_slice(axis, value.numerator, den)
-        return None if cap is None else Fraction(cap, 2 * den)
+        return Fraction(best, 2 * den)

@@ -7,9 +7,11 @@ evaluation, and polygon membership from the vertex list alone. The
 threshold and vertex oracles take the direct route: a linear scan over
 feedback levels, and a pairwise line scan in Fraction arithmetic. Grids
 use step 1/6 (or 1/12), so scaling coordinates by 6 (or 12) turns every
-test into exact int64 arithmetic. The simulator oracle keeps every signal
-as a tuple of bits, level 0 first, and moves it bit by bit; the message
-oracle draws one `randrange(2)` per bit. Neither imports `ldic.sim`.
+test into exact int64 arithmetic. The endpoint oracles give the regions at
+zero and at perfect feedback from published closed forms, without the
+formulas of `ldic.bounds`. The simulator oracle keeps every signal as a
+tuple of bits, level 0 first, and moves it bit by bit; the message oracle
+draws one `randrange(2)` per bit. Neither imports `ldic.sim`.
 """
 
 import random
@@ -25,10 +27,6 @@ GRID_SCALE = 6  # step 1/6
 
 def raw_constraints(bound_set):
     return tuple((c.r1_coeff, c.r2_coeff, c.rhs) for c in bound_set.constraints)
-
-
-def caps_of(bound_set):
-    return tuple(bound_set.cap(a, b) for a, b in ((1, 0), (0, 1), (1, 1), (2, 1), (1, 2)))
 
 
 def slice_cap(raw, axis, value):
@@ -67,6 +65,65 @@ def vertex_slice(vertices, axis, value):
             crossing = p[free] + (q[free] - p[free]) * (value - p[fixed]) / (q[fixed] - p[fixed])
         best = crossing if best is None or crossing > best else best
     return best
+
+
+def vertex_delta(region, base, user):
+    """Largest slice gain for one user, each slice read off a vertex list.
+
+    Both slice functions are concave piecewise-linear in the fixed
+    coordinate, so their difference peaks at a vertex coordinate of either
+    region, at 0 or at the smaller region's reach.
+    """
+    axis = 3 - user
+    pick = (lambda v: v.r2) if axis == 2 else (lambda v: v.r1)
+    end = min(max(map(pick, region.vertices)), max(map(pick, base.vertices)))
+    samples = {Fraction(0), end}
+    samples.update(x for x in map(pick, region.vertices + base.vertices) if x <= end)
+    return max(
+        vertex_slice(region.vertices, axis, x) - vertex_slice(base.vertices, axis, x)
+        for x in samples
+    )
+
+
+def _pos(x):
+    return max(x, 0)
+
+
+def bresler_tse_caps(params):
+    """The five caps of the no-feedback region, from Bresler and Tse's deterministic IC.
+
+    G. Bresler and D. Tse, "The two-user Gaussian interference channel: a
+    deterministic view", Eur. Trans. Telecomm., 2008. Feedback levels of
+    ``params`` are ignored.
+    """
+    n11, n22, a, b = params.fwd11, params.fwd22, params.inr12, params.inr21
+    sum_cap = min(
+        max(n11, a) + _pos(n22 - a),
+        max(n22, b) + _pos(n11 - b),
+        max(_pos(n11 - b), a) + max(_pos(n22 - a), b),
+    )
+    return (
+        n11,
+        n22,
+        sum_cap,
+        max(n11, a) + _pos(n11 - b) + max(_pos(n22 - a), b),
+        max(n22, b) + _pos(n22 - a) + max(_pos(n11 - b), a),
+    )
+
+
+def suh_tse_caps(params):
+    """The five caps of the perfect-feedback region, from Suh and Tse.
+
+    C. Suh and D. Tse, "Feedback capacity of the Gaussian interference
+    channel to within 2 bits", IEEE Trans. IT, 2011. The region has no
+    weighted bounds, so its weighted caps are the ones the individual caps
+    imply. Feedback levels of ``params`` are ignored.
+    """
+    n11, n22, a, b = params.fwd11, params.fwd22, params.inr12, params.inr21
+    r1 = min(max(n11, b), max(n11, a))
+    r2 = min(max(n22, a), max(n22, b))
+    sum_cap = min(max(n22, a) + _pos(n11 - a), max(n11, b) + _pos(n22 - b))
+    return r1, r2, sum_cap, 2 * r1 + r2, r1 + 2 * r2
 
 
 def scaled_grid(r1_cap, r2_cap):

@@ -28,7 +28,6 @@ from ldic import (
 from ldic.sim import POINT_TO_POINT, down_shift, forward_outputs
 
 from helpers import (
-    caps_of,
     constraint_mask,
     delta_grid_oracle,
     polygon_mask,
@@ -117,7 +116,7 @@ def test_criterion_07_reduction_properties_on_random_channels():
             fb22=saturated.fb22 + rng.randint(1, 5),
         )
         assert capacity_region(beyond).equals_region(capacity_region(saturated))
-        assert caps_of(build_bounds(beyond)) == caps_of(build_bounds(saturated))
+        assert build_bounds(beyond).caps == build_bounds(saturated).caps
 
         # (d) relabeling the users mirrors the region across r1 = r2
         mirrored = capacity_region(params.swapped())
@@ -134,7 +133,7 @@ def test_criterion_08_polytope_engine_against_the_dense_grid():
         for v in poly.vertices:
             assert v.r1.denominator in (1, 2, 3)
             assert v.r2.denominator in (1, 2, 3)
-        caps = caps_of(poly.bounds)
+        caps = poly.bounds.caps
         s1, s2 = scaled_grid(caps[0], caps[1])
         by_constraints = constraint_mask(raw_constraints(poly.bounds), s1, s2)
         by_vertices = polygon_mask(poly.vertices, s1, s2)

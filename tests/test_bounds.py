@@ -4,13 +4,13 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ldic import ChannelParams, build_bounds, derive_variant
+from ldic import ChannelParams, RatePolytope, build_bounds, capacity_region, derive_variant
 from ldic.bounds import (
     Bound, BoundSet, Constraint, _link_terms, compose_bounds, evaluate_bound, link_profile,
 )
 from ldic.params import MAX_EXPONENT
 
-from helpers import caps_of
+from helpers import bresler_tse_caps, suh_tse_caps
 
 exponents = st.integers(min_value=0, max_value=30)
 
@@ -48,7 +48,7 @@ def test_exactly_eight_bounds():
     ],
 )
 def test_build_bounds_caps(params, expected):
-    assert caps_of(build_bounds(params)) == expected
+    assert build_bounds(params).caps == expected
 
 
 def test_individual_caps_collapse_without_feedback_exhaustively():
@@ -122,7 +122,7 @@ def test_bound_set_requires_canonical_forms():
     with pytest.raises(ValueError):
         BoundSet((Constraint(1, 0, 1),))
     good = BoundSet.from_caps(1, 2, 3, 4, 5)
-    assert caps_of(good) == (1, 2, 3, 4, 5)
+    assert good.caps == (1, 2, 3, 4, 5)
     with pytest.raises(KeyError):
         good.cap(2, 2)
 
@@ -253,8 +253,38 @@ def test_distinct_link_terms_pair_one_to_one_with_distinct_caps(exponents):
     terms1, _ = link_profile(params, 1)
     terms2, _ = link_profile(params, 2)
     distinct = {
-        caps_of(build_bounds(dataclasses.replace(params, fb11=fb11, fb22=fb22)))
+        build_bounds(dataclasses.replace(params, fb11=fb11, fb22=fb22)).caps
         for fb11 in range(params.feedback_saturation(1) + 1)
         for fb22 in range(params.feedback_saturation(2) + 1)
     }
     assert len(terms1) * len(terms2) == len(distinct)
+
+
+def test_endpoint_regions_match_the_published_closed_forms():
+    # Bresler-Tse without feedback, Suh-Tse with perfect feedback: both
+    # oracles are written from the papers, not from this module's formulas
+    for exponents in itertools.product(range(9), repeat=4):
+        if not any(exponents):
+            continue
+        params = ChannelParams(*exponents)
+        for oracle, variant in ((bresler_tse_caps, "no_feedback"),
+                                (suh_tse_caps, "perfect_feedback")):
+            expected = RatePolytope.from_bounds(BoundSet.from_caps(*oracle(params)))
+            region = capacity_region(derive_variant(params, variant))
+            assert region.equals_region(expected), (exponents, variant)
+
+
+def test_feedback_of_only_the_own_signal_leaves_the_region_unchanged():
+    # the top (n11 - n12)+ levels of receiver 1's output carry Tx1's own
+    # signal alone, so feeding back at most that many teaches Tx1 nothing;
+    # unlike the endpoint forms, this tells n12 from n21
+    for n11, n22, n12, n21 in itertools.product(range(7), repeat=4):
+        params = ChannelParams(n11, n22, n12, n21)
+        for link, own_only, field, other in ((1, max(n11 - n12, 0), "fb11", "fb22"),
+                                             (2, max(n22 - n21, 0), "fb22", "fb11")):
+            for other_level in range(params.feedback_saturation(3 - link) + 1):
+                at_zero = dataclasses.replace(params, **{other: other_level})
+                region = capacity_region(at_zero)
+                for level in range(1, own_only + 1):
+                    moved = capacity_region(dataclasses.replace(at_zero, **{field: level}))
+                    assert moved.equals_region(region), (params, field, level, other_level)

@@ -103,11 +103,11 @@ def test_metrics_document(capsys):
 def test_metrics_request_builds_the_base_region_once(capsys, monkeypatch):
     builds = []
 
-    def counting_region(p):
+    def counting_bounds(p):
         builds.append(p)
-        return capacity_region(p)
+        return build_bounds(p)
 
-    monkeypatch.setattr(ldic.metrics, "capacity_region", counting_region)
+    monkeypatch.setattr(ldic.metrics, "build_bounds", counting_bounds)
     code, _, _ = run_cli(capsys, "metrics", *FIG_FLAGS, "--fb11", "9", "--fb22", "4")
     assert code == 0
     assert builds.count(derive_variant(ChannelParams(10, 10, 3, 8), "no_feedback")) == 1

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,11 +23,11 @@ from ldic import (
     sigma,
     sweep,
 )
-from ldic.bounds import link_profile
+from ldic.bounds import BoundSet, link_profile
 from ldic.metrics import MetricsResult, ThresholdReport, metrics_report
 from ldic.params import MAX_EXPONENT
 
-from helpers import caps_of, delta_grid_oracle, linear_threshold, random_params
+from helpers import delta_grid_oracle, linear_threshold, random_params, vertex_delta
 
 FIXTURES = {
     "strong_forward": ChannelParams(20, 15, 12, 13, 15, 14),
@@ -159,17 +160,17 @@ def test_regions_are_nested_in_each_feedback_level(exponents, other_level):
 def test_threshold_search_is_logarithmic_at_the_exponent_cap(monkeypatch, params):
     builds = []
 
-    def counting_region(p):
+    def counting_bounds(p):
         builds.append(p)
-        return capacity_region(p)
+        return build_bounds(p)
 
-    monkeypatch.setattr(ldic.metrics, "capacity_region", counting_region)
+    monkeypatch.setattr(ldic.metrics, "build_bounds", counting_bounds)
     base_params = derive_variant(params, "no_feedback")
     base = capacity_region(base_params)
     for link, field in ((1, "fb11"), (2, "fb22")):
         builds.clear()
         report = feedback_threshold(params, link)
-        # bit_length(S) == ceil(log2(S + 1)), exactly; the +1 is the base region
+        # bit_length(S) == ceil(log2(S + 1)), exactly; the +1 is the base bound set
         assert len(builds) <= report.saturation.bit_length() + 1
 
         # nested regions make the first moving level a certificate for the threshold
@@ -239,27 +240,43 @@ def test_every_sweep_cell_matches_compute_metrics(exponents):
         assert cell == compute_metrics(dataclasses.replace(params, fb11=fb11, fb22=fb22))
 
 
+def count_sweep_builds(monkeypatch):
+    """Lists that fill with every bound set composed and every region built from now on."""
+    composed, regions = [], []
+    compose_bounds = ldic.bounds.compose_bounds
+    from_bounds = RatePolytope.from_bounds.__func__
+
+    def counting_compose(*args):
+        composed.append(args)
+        return compose_bounds(*args)
+
+    def counting_from_bounds(cls, bounds):
+        regions.append(bounds)
+        return from_bounds(cls, bounds)
+
+    # build_bounds reads compose_bounds from ldic.bounds, sweep from ldic.metrics
+    monkeypatch.setattr(ldic.bounds, "compose_bounds", counting_compose)
+    monkeypatch.setattr(ldic.metrics, "compose_bounds", counting_compose)
+    monkeypatch.setattr(RatePolytope, "from_bounds", classmethod(counting_from_bounds))
+    return composed, regions
+
+
 @pytest.mark.parametrize(
     "params",
     [ChannelParams(6, 5, 3, 4), ChannelParams(20, 15, 12, 13), ChannelParams(7, 8, 15, 13)],
 )
 def test_sweep_builds_one_region_per_distinct_cap_tuple(monkeypatch, params):
-    builds = []
-    from_bounds = RatePolytope.from_bounds.__func__
-
-    def counting_from_bounds(cls, bounds):
-        builds.append(bounds)
-        return from_bounds(cls, bounds)
-
-    monkeypatch.setattr(RatePolytope, "from_bounds", classmethod(counting_from_bounds))
+    composed, regions = count_sweep_builds(monkeypatch)
     surface = sweep(params)
+    builds = len(composed)
+    assert regions == []
     distinct = {
-        caps_of(build_bounds(dataclasses.replace(params, fb11=fb11, fb22=fb22)))
+        build_bounds(dataclasses.replace(params, fb11=fb11, fb22=fb22)).caps
         for fb11, fb22 in surface.cells
     }
     assert len(distinct) < len(surface.cells)
-    # the +1 is the no-feedback base region
-    assert len(builds) <= len(distinct) + 1
+    # the +1 is the no-feedback base bound set
+    assert builds <= len(distinct) + 1
 
 
 @pytest.mark.parametrize(
@@ -267,19 +284,13 @@ def test_sweep_builds_one_region_per_distinct_cap_tuple(monkeypatch, params):
     [ChannelParams(6, 5, 3, 4), ChannelParams(7, 8, 15, 13), ChannelParams(150, 147, 75, 151)],
 )
 def test_sweep_builds_one_region_per_pair_of_distinct_link_terms(monkeypatch, params):
-    builds = []
-    from_bounds = RatePolytope.from_bounds.__func__
-
-    def counting_from_bounds(cls, bounds):
-        builds.append(bounds)
-        return from_bounds(cls, bounds)
-
-    monkeypatch.setattr(RatePolytope, "from_bounds", classmethod(counting_from_bounds))
+    composed, regions = count_sweep_builds(monkeypatch)
     sweep(params)
+    assert regions == []
     terms1, _ = link_profile(params, 1)
     terms2, _ = link_profile(params, 2)
-    # the +1 is the no-feedback base region
-    assert len(builds) == len(terms1) * len(terms2) + 1
+    # the +1 is the no-feedback base bound set
+    assert len(composed) == len(terms1) * len(terms2) + 1
 
 
 @pytest.mark.parametrize(
@@ -359,6 +370,10 @@ def test_perfect_feedback_region_dominates(f1, f2, i12, i21, b1, b2):
     assert noisy.subset_of(perfect)
 
 
+def largest_sum(poly):
+    return max(v.r1 + v.r2 for v in poly.vertices)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.tuples(*[st.integers(0, 12)] * 4), st.integers(0, 14), st.integers(0, 14))
 def test_metrics_match_the_grid_and_vertex_oracles(exponents, fb11, fb22):
@@ -368,11 +383,68 @@ def test_metrics_match_the_grid_and_vertex_oracles(exponents, fb11, fb22):
     result = compute_metrics(params)
     assert result.delta1 == delta_grid_oracle(region, base, 1)
     assert result.delta2 == delta_grid_oracle(region, base, 2)
-
-    def largest_sum(poly):
-        return max(v.r1 + v.r2 for v in poly.vertices)
-
     assert result.sigma == largest_sum(region) - largest_sum(base)
+
+
+# small exponents make caps tie and constraints turn redundant; the others
+# reach the exponent cap, with n12 and n21 drawn independently
+wide_exponent = st.one_of(st.integers(0, 12), st.integers(0, MAX_EXPONENT))
+
+
+def channel_caps(exponents):
+    params = ChannelParams(*exponents)
+    return build_bounds(params).caps, build_bounds(derive_variant(params, "no_feedback")).caps
+
+
+def raised_caps(pair):
+    extra, base = pair
+    return tuple(a + b for a, b in zip(extra, base)), base
+
+
+five_caps = st.tuples(*[st.integers(0, 40)] * 5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.tuples(*[wide_exponent] * 6).map(channel_caps),
+    # a region over any smaller caps: it reaches dual terms and kinks that
+    # no channel's caps make binding
+    st.tuples(five_caps, five_caps).map(raised_caps),
+))
+def test_cap_metrics_match_the_vertex_path(pair):
+    # the metrics read the five caps alone; the oracle reads the two
+    # regions' vertex lists alone
+    caps, base_caps = pair
+    region = RatePolytope.from_bounds(BoundSet.from_caps(*caps))
+    base = RatePolytope.from_bounds(BoundSet.from_caps(*base_caps))
+    result = ldic.metrics._cell(caps, base_caps)
+    assert result.delta1 == vertex_delta(region, base, 1)
+    assert result.delta2 == vertex_delta(region, base, 2)
+    assert result.sigma == largest_sum(region) - largest_sum(base)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[wide_exponent] * 4), st.integers(0, MAX_EXPONENT), st.integers(0, MAX_EXPONENT))
+def test_support_tuples_decide_region_equality(exponents, random1, random2):
+    n11, n22, n12, n21 = exponents
+    params = ChannelParams(*exponents)
+    s1, s2 = params.feedback_saturation(1), params.feedback_saturation(2)
+    # levels up to (nii - nij)+ and levels from saturation up leave the
+    # region as it is, so most draws hold both equal and unequal pairs
+    levels1 = {0, max(n11 - n12, 0), random1 % (s1 + 1), s1, min(s1 + 1, MAX_EXPONENT)}
+    levels2 = {0, max(n22 - n21, 0), random2 % (s2 + 1), s2, min(s2 + 1, MAX_EXPONENT)}
+    bound_sets = [
+        build_bounds(dataclasses.replace(params, fb11=a, fb22=b))
+        for a in sorted(levels1) for b in sorted(levels2)
+    ]
+    equal = unequal = 0
+    for x, y in itertools.combinations(bound_sets, 2):
+        same = RatePolytope.from_bounds(x).equals_region(RatePolytope.from_bounds(y))
+        assert (ldic.metrics._support(x.caps) == ldic.metrics._support(y.caps)) == same
+        equal += same
+        unequal += not same
+    assert equal > 0 or min(s1, s2) == MAX_EXPONENT
+    assert (unequal > 0) == (not feedback_useless(params))
 
 
 def test_sum_maximum_is_capped_by_the_sum_bound():

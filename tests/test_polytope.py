@@ -11,6 +11,7 @@ from ldic import (
     capacity_region,
 )
 from ldic.bounds import BoundSet
+from ldic.metrics import _support
 from ldic.params import MAX_EXPONENT
 
 from helpers import (
@@ -190,6 +191,9 @@ def test_region_equality_is_mutual_inclusion(caps, other_caps, which, amount):
     for other in others:
         assert poly.equals_region(other) == (poly.subset_of(other) and other.subset_of(poly))
         assert other.equals_region(poly) == poly.equals_region(other)
+        # the metrics compare regions by their support values in the five directions
+        same_support = _support(poly.bounds.caps) == _support(other.bounds.caps)
+        assert same_support == poly.equals_region(other)
 
 
 def test_grid_oracle_agreement_on_random_cap_sets():
