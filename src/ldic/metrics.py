@@ -1,16 +1,12 @@
 """Feedback-benefit metrics over capacity regions, read from their five caps.
 
 Everything here compares the region at some feedback setting against the
-region of the same forward channel with feedback removed. A region is
-{r >= 0 : r1 <= c1, r2 <= c2, r1 + r2 <= c3, 2*r1 + r2 <= c4, r1 + 2*r2 <= c5}
-for its caps c (``BoundSet.caps``), and each value used here is a
-linear-programming dual minimum over those five caps; no vertex is
-enumerated. A user-1 slice is a minimum of four affine terms in R2, so the
-largest slice gain peaks at 0, at the end of the shared domain or where two
-terms of either slice cross; user 2 is user 1 on the mirrored caps. Two
-regions are equal exactly when their maxima of the five canonical forms are.
-All of it runs in integers (R2 times 6, slice values times 12); a Fraction
-is made only when a MetricsResult is built.
+region of the same forward channel with feedback removed. Each value is a
+closed form in the two regions' caps (``BoundSet.caps``), computed by the
+slice and support functions of ``polytope``; no region is built. Two
+regions are equal exactly when their support tuples are. All of it runs in
+integers (R2 times 6, slice values times 12); a Fraction is made only when a
+MetricsResult is built.
 """
 
 from __future__ import annotations
@@ -21,6 +17,7 @@ from typing import Optional
 
 from .bounds import build_bounds, compose_bounds, link_profile
 from .params import ChannelParams, derive_variant
+from .polytope import _delta, _mirror, _sum_max, _support
 
 
 @dataclass(frozen=True)
@@ -68,47 +65,6 @@ class MetricSurface:
     """
 
     cells: dict
-
-
-def _sum_max(c: tuple) -> int:
-    """6 * the largest R1 + R2 over the region with caps c."""
-    c1, c2, c3, c4, c5 = c
-    return min(6 * c3, 6 * (c1 + c2), 6 * c4, 6 * c5,
-               3 * (c1 + c5), 3 * (c2 + c4), 2 * (c4 + c5))
-
-
-def _weighted_max(c: tuple) -> int:
-    """2 * the largest 2*R1 + R2 over the region with caps c."""
-    c1, c2, c3, c4, c5 = c
-    return min(2 * c4, 4 * c1 + 2 * c2, 2 * c1 + 2 * c3, 4 * c3, 4 * c5, 3 * c1 + c5)
-
-
-def _slice(c: tuple, x: int) -> int:
-    """12 * the largest R1 at R2 = x/6, for x from 0 to 6 * the largest R2."""
-    c1, _, c3, c4, c5 = c
-    return min(12 * c1, 12 * c3 - 2 * x, 6 * c4 - x, 12 * c5 - 4 * x)
-
-
-def _mirror(c: tuple) -> tuple:
-    c1, c2, c3, c4, c5 = c
-    return (c2, c1, c3, c5, c4)
-
-
-def _support(c: tuple) -> tuple:
-    """The largest R1, R2, R1 + R2, 2*R1 + R2 and R1 + 2*R2, each scaled to an int."""
-    m = _mirror(c)
-    return (_slice(c, 0), _slice(m, 0), _sum_max(c), _weighted_max(c), _weighted_max(m))
-
-
-def _delta(c: tuple, b: tuple) -> int:
-    """12 * the largest gain in R1 of caps c over caps b at a common R2."""
-    end = min(min(6 * c2, 6 * c3, 6 * c4, 3 * c5) for _, c2, c3, c4, c5 in (c, b))
-    points = {0, end}
-    for c1, _, c3, c4, c5 in (c, b):
-        kinks = (6 * (c3 - c1), 6 * (c4 - 2 * c1), 3 * (c5 - c1),
-                 6 * (2 * c3 - c4), 6 * (c5 - c3), 2 * (2 * c5 - c4))
-        points.update(x for x in kinks if 0 < x < end)
-    return max(_slice(c, x) - _slice(b, x) for x in points)
 
 
 def _base(params: ChannelParams):

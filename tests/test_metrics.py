@@ -240,6 +240,47 @@ def test_every_sweep_cell_matches_compute_metrics(exponents):
         assert cell == compute_metrics(dataclasses.replace(params, fb11=fb11, fb22=fb22))
 
 
+# The next three compare whole commands with each other and reuse no formula:
+# a cell with no gain for either user is a region equal to its base, because
+# the regions are nested and down-closed.
+def unchanged(cell):
+    return cell.delta1 == cell.delta2 == 0
+
+
+channel_25 = st.tuples(*[st.integers(0, 25)] * 6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(channel_25)
+def test_thresholds_are_the_last_unchanged_sweep_cells(fields):
+    params = ChannelParams(*fields)
+    cells = sweep(params).cells
+    for link, cell_at in ((1, lambda level: (level, 0)), (2, lambda level: (0, level))):
+        saturation = params.feedback_saturation(link)
+        last = max(level for level in range(saturation + 1) if unchanged(cells[cell_at(level)]))
+        expected = None if last == saturation else last
+        assert feedback_threshold(params, link).threshold == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(channel_25)
+def test_feedback_is_useless_when_the_far_sweep_cell_is_unchanged(fields):
+    params = ChannelParams(*fields)
+    far = (params.feedback_saturation(1), params.feedback_saturation(2))
+    assert feedback_useless(params) == unchanged(sweep(params).cells[far])
+
+
+@settings(max_examples=100, deadline=None)
+@given(channel_25)
+def test_swapping_the_pairs_transposes_the_sweep(fields):
+    params = ChannelParams(*fields)
+    swapped = sweep(params.swapped()).cells
+    cells = sweep(params).cells
+    assert len(swapped) == len(cells)
+    for (fb11, fb22), cell in cells.items():
+        assert swapped[(fb22, fb11)] == MetricsResult(cell.delta2, cell.delta1, cell.sigma)
+
+
 def count_sweep_builds(monkeypatch):
     """Lists that fill with every bound set composed and every region built from now on."""
     composed, regions = [], []
@@ -440,7 +481,7 @@ def test_support_tuples_decide_region_equality(exponents, random1, random2):
     equal = unequal = 0
     for x, y in itertools.combinations(bound_sets, 2):
         same = RatePolytope.from_bounds(x).equals_region(RatePolytope.from_bounds(y))
-        assert (ldic.metrics._support(x.caps) == ldic.metrics._support(y.caps)) == same
+        assert (ldic.polytope._support(x.caps) == ldic.polytope._support(y.caps)) == same
         equal += same
         unequal += not same
     assert equal > 0 or min(s1, s2) == MAX_EXPONENT

@@ -8,11 +8,12 @@ from ldic import (
     ChannelParams,
     RatePoint,
     RatePolytope,
+    build_bounds,
     capacity_region,
 )
 from ldic.bounds import BoundSet
-from ldic.metrics import _support
 from ldic.params import MAX_EXPONENT
+from ldic.polytope import _support
 
 from helpers import (
     constraint_mask,
@@ -155,15 +156,42 @@ def test_vertex_order_is_counter_clockwise_from_the_anchor(caps):
 wide_cap = st.one_of(st.integers(0, 12), st.integers(0, 3 * MAX_EXPONENT))
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.tuples(*[wide_cap] * 5))
-def test_integer_vertex_scan_matches_the_fraction_scan(caps):
-    # every bound set has line pairs with a negative determinant, such as
-    # (0, 1) against (1, 1), so each draw exercises the sign normalisation
-    bounds = BoundSet.from_caps(*caps)
+def assert_corners_match_the_pairwise_scan(bounds):
     poly = RatePolytope.from_bounds(bounds)
     assert poly.vertices == pairwise_vertices(raw_constraints(bounds))
     assert poly.scaled == tuple((6 * v.r1, 6 * v.r2) for v in poly.vertices)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.tuples(*[wide_cap] * 5))
+def test_corners_match_the_pairwise_scan(caps):
+    assert_corners_match_the_pairwise_scan(BoundSet.from_caps(*caps))
+
+
+# n12 and n21 are drawn independently, and feedback levels run past saturation
+wide_exponent = st.one_of(st.integers(0, 12), st.integers(0, MAX_EXPONENT))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[wide_exponent] * 6))
+def test_channel_corners_match_the_pairwise_scan(params):
+    assert_corners_match_the_pairwise_scan(build_bounds(ChannelParams(*params)))
+
+
+@pytest.mark.parametrize(
+    "caps,corners",
+    [
+        # the slice ends at R2max = 2 with R1 = 2 > 0, so (0, R2max) is a
+        # corner that no kink gives
+        ((10, 2, 6, 10, 6), [(5, 0), (Fraction(14, 3), Fraction(2, 3)), (2, 2), (0, 2), (0, 0)]),
+        # the slack R1 and R1 + 2*R2 caps cross at R2 = 1/2, on the edge from
+        # (3, 0) to (2, 2), where 12*R1 = 33; rounded to sixths it leaves the edge
+        ((5, 7, 5, 6, 6), [(3, 0), (2, 2), (0, 3), (0, 0)]),
+    ],
+)
+def test_corners_at_the_end_and_off_the_sixths_grid(caps, corners):
+    assert region_from_caps(*caps).vertices == tuple(RatePoint(*v) for v in corners)
+    assert_corners_match_the_pairwise_scan(BoundSet.from_caps(*caps))
 
 
 def _tight_somewhere(constraint, poly):
