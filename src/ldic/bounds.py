@@ -4,8 +4,8 @@ The capacity region of the two-user channel with noisy output feedback is cut
 out by five linear inequalities on the rate pair (R1, R2): one cap per
 individual rate, one on the sum, and one per weighted combination 2*Ri + Rj.
 Each cap is the minimum over one or two elementary bound evaluations; those
-eight evaluations are enumerated by :class:`Bound` so a constraint can always
-be traced back to the evaluation that produced it.
+eight evaluations are enumerated by :class:`Bound` so a cap can always be
+traced back to the evaluation that produced it.
 
 The bound set separates by feedback link. Feedback link 1 at level fb11
 enters only the R2 cap, the R1+2*R2 cap and link 1's sum credit; link 2 at
@@ -31,6 +31,7 @@ formula places it.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -189,30 +190,27 @@ NONNEGATIVITY = (Constraint(-1, 0, 0), Constraint(0, -1, 0))
 
 @dataclass(frozen=True)
 class BoundSet:
-    """The five canonical constraints plus the two non-negativity constraints."""
+    """The region's five canonical caps and the evaluation behind each.
 
-    constraints: tuple
+    ``caps`` holds the right-hand sides of the ``CANONICAL_FORMS`` upper
+    bounds, in that order; ``sources`` names the :class:`Bound` that set each
+    one, or None where no evaluation is known. ``constraints`` spells the set
+    out as seven ``Constraint`` rows, the five caps then ``NONNEGATIVITY``.
+    """
+
+    caps: tuple
+    sources: tuple = (None,) * 5
 
     def __post_init__(self):
-        forms = tuple((c.r1_coeff, c.r2_coeff) for c in self.constraints)
-        if forms != CANONICAL_FORMS + ((-1, 0), (0, -1)):
-            raise ValueError(f"bound set has unexpected constraint forms {forms}")
+        if len(self.caps) != 5 or len(self.sources) != 5 or min(self.caps) < 0:
+            raise ValueError("a bound set needs five non-negative caps and five sources, "
+                             f"got {self.caps} and {self.sources}")
 
-    @classmethod
-    def from_caps(cls, r1_max, r2_max, sum_max, double_r1_max, double_r2_max) -> "BoundSet":
-        """Assemble a bound set from explicit canonical right-hand sides."""
-        caps = (r1_max, r2_max, sum_max, double_r1_max, double_r2_max)
-        upper = tuple(Constraint(a, b, rhs) for (a, b), rhs in zip(CANONICAL_FORMS, caps))
-        return cls(upper + NONNEGATIVITY)
-
-    @property
-    def caps(self) -> tuple:
-        """The five canonical right-hand sides, in ``CANONICAL_FORMS`` order."""
-        return tuple(c.rhs for c in self.constraints[:len(CANONICAL_FORMS)])
-
-    def cap(self, r1_coeff: int, r2_coeff: int) -> int:
-        """Right-hand side of the canonical constraint with these coefficients."""
-        return dict(zip(CANONICAL_FORMS, self.caps))[(r1_coeff, r2_coeff)]
+    @functools.cached_property
+    def constraints(self) -> tuple:
+        """The five caps as ``Constraint`` rows, then the two non-negativity rows."""
+        return tuple(Constraint(a, b, rhs, source) for (a, b), rhs, source
+                     in zip(CANONICAL_FORMS, self.caps, self.sources)) + NONNEGATIVITY
 
 
 _INDIVIDUAL = {
@@ -257,13 +255,12 @@ def link_profile(params: ChannelParams, link: int) -> tuple:
 
 
 def compose_bounds(params: ChannelParams, terms1: tuple, terms2: tuple) -> BoundSet:
-    """The region's inequality description from each link's ``_link_terms``.
+    """The region's bound set from each link's ``_link_terms``.
 
-    Each canonical right-hand side is the minimum over its contributing
-    evaluations: ``terms1`` are link 1's terms, ``terms2`` link 2's, and the
-    sum cap also reads the forward-only sum terms of ``params``. Redundant
-    constraints are kept (pruning is the polytope engine's concern, not this
-    one's).
+    Each canonical cap is the minimum over its contributing evaluations:
+    ``terms1`` are link 1's terms, ``terms2`` link 2's, and the sum cap also
+    reads the forward-only sum terms of ``params``. Redundant caps are kept
+    (pruning is the polytope engine's concern, not this one's).
     """
     (r2_cap, r2_src), weighted_2r2_r1, credit1 = terms1
     (r1_cap, r1_src), weighted_2r1_r2, credit2 = terms2
@@ -272,21 +269,15 @@ def compose_bounds(params: ChannelParams, terms1: tuple, terms2: tuple) -> Bound
         (_sum_base(params) + credit1 + credit2, Bound.SUM_FEEDBACK),
     )
     return BoundSet(
-        (
-            Constraint(1, 0, r1_cap, r1_src),
-            Constraint(0, 1, r2_cap, r2_src),
-            Constraint(1, 1, sum_cap, sum_src),
-            Constraint(2, 1, weighted_2r1_r2, Bound.WEIGHTED_2R1_R2),
-            Constraint(1, 2, weighted_2r2_r1, Bound.WEIGHTED_2R2_R1),
-        )
-        + NONNEGATIVITY
+        (r1_cap, r2_cap, sum_cap, weighted_2r1_r2, weighted_2r2_r1),
+        (r1_src, r2_src, sum_src, Bound.WEIGHTED_2R1_R2, Bound.WEIGHTED_2R2_R1),
     )
 
 
 def build_bounds(params: ChannelParams) -> BoundSet:
-    """Evaluate all eight bounds and assemble the region's inequality description.
+    """Compose both links' terms into the region's bound set.
 
-    Composed from the two links' terms at the channel's own feedback levels.
+    Each link's terms are read at the channel's own feedback level.
     """
     return compose_bounds(
         params,
@@ -296,7 +287,7 @@ def build_bounds(params: ChannelParams) -> BoundSet:
 
 
 def capacity_region(params: ChannelParams):
-    """The capacity region as an exact vertex-enumerated polytope."""
+    """The capacity region as an exact polytope, its corners read off the cap slice."""
     from .polytope import RatePolytope
 
     return RatePolytope.from_bounds(build_bounds(params))

@@ -11,7 +11,7 @@ import json
 import sys
 
 from .bounds import capacity_region
-from .metrics import metrics_report, sweep
+from .metrics import compute_metrics, feedback_threshold, feedback_useless, sweep
 from .output import (
     metrics_document,
     region_csv,
@@ -104,7 +104,8 @@ def _cmd_region(args) -> str:
 
 def _cmd_metrics(args) -> str:
     params = _channel_params(args)
-    doc = metrics_document(params, *metrics_report(params))
+    thresholds = (feedback_threshold(params, 1), feedback_threshold(params, 2))
+    doc = metrics_document(params, compute_metrics(params), thresholds, feedback_useless(params))
     return json.dumps(doc, indent=2) + "\n"
 
 

@@ -67,10 +67,9 @@ class MetricSurface:
     cells: dict
 
 
-def _base(params: ChannelParams):
-    """The no-feedback variant of a channel and its caps."""
-    base_params = derive_variant(params, "no_feedback")
-    return base_params, build_bounds(base_params).caps
+def _base(params: ChannelParams) -> tuple:
+    """The caps of a channel's no-feedback variant."""
+    return build_bounds(derive_variant(params, "no_feedback")).caps
 
 
 def _cell(caps: tuple, base: tuple) -> MetricsResult:
@@ -97,8 +96,7 @@ def sigma(params: ChannelParams) -> Fraction:
 
 def compute_metrics(params: ChannelParams) -> MetricsResult:
     """Individual and sum-rate improvements of a channel over its no-feedback base."""
-    _, base = _base(params)
-    return _cell(build_bounds(params).caps, base)
+    return _cell(build_bounds(params).caps, _base(params))
 
 
 def feedback_threshold(params: ChannelParams, link: int) -> ThresholdReport:
@@ -112,19 +110,16 @@ def feedback_threshold(params: ChannelParams, link: int) -> ThresholdReport:
     exactly in about log2(saturation + 1) bound sets. If no level up to
     saturation moves the region, feedback on this link alone is worthless.
     """
-    return _threshold(*_base(params), link)
-
-
-def _threshold(base_params: ChannelParams, base: tuple, link: int) -> ThresholdReport:
-    saturation = base_params.feedback_saturation(link)
+    saturation = params.feedback_saturation(link)
     field = "fb11" if link == 1 else "fb22"
-    target = _support(base)
+    bare = derive_variant(params, "no_feedback")
+    target = _support(build_bounds(bare).caps)
     # Invariant: the region at level `unchanged` equals the base, and every
     # level from `moved` up differs (saturation + 1 stands for "none does").
     unchanged, moved = 0, saturation + 1
     while moved - unchanged > 1:
         level = (unchanged + moved) // 2
-        if _support(build_bounds(replace(base_params, **{field: level})).caps) == target:
+        if _support(build_bounds(replace(bare, **{field: level})).caps) == target:
             unchanged = level
         else:
             moved = level
@@ -134,24 +129,8 @@ def _threshold(base_params: ChannelParams, base: tuple, link: int) -> ThresholdR
 
 def feedback_useless(params: ChannelParams) -> bool:
     """True when even perfect feedback on both links leaves the region unchanged."""
-    return _useless(*_base(params))
-
-
-def _useless(base_params: ChannelParams, base: tuple) -> bool:
-    full = build_bounds(derive_variant(base_params, "perfect_feedback")).caps
-    return _support(full) == _support(base)
-
-
-def metrics_report(params: ChannelParams) -> tuple:
-    """Everything ``ldic metrics`` prints: (compute_metrics, both threshold reports, useless).
-
-    Equal to calling ``compute_metrics``, ``feedback_threshold`` for links 1
-    and 2 and ``feedback_useless``, but the four share one no-feedback base
-    bound set instead of building it four times.
-    """
-    base_params, base = _base(params)
-    thresholds = (_threshold(base_params, base, 1), _threshold(base_params, base, 2))
-    return _cell(build_bounds(params).caps, base), thresholds, _useless(base_params, base)
+    full = build_bounds(derive_variant(params, "perfect_feedback")).caps
+    return _support(full) == _support(_base(params))
 
 
 def sweep(params: ChannelParams) -> MetricSurface:
@@ -164,10 +143,10 @@ def sweep(params: ChannelParams) -> MetricSurface:
     terms. A cell is then two index lookups into that table. Cells run
     fb11-major, fb22-minor, both ascending.
     """
-    base_params, base = _base(params)
-    terms1, index1 = link_profile(base_params, 1)
-    terms2, index2 = link_profile(base_params, 2)
-    table = [[_cell(compose_bounds(base_params, t1, t2).caps, base) for t2 in terms2]
+    base = _base(params)
+    terms1, index1 = link_profile(params, 1)
+    terms2, index2 = link_profile(params, 2)
+    table = [[_cell(compose_bounds(params, t1, t2).caps, base) for t2 in terms2]
              for t1 in terms1]
     cells = {}
     for fb11, i in enumerate(index1):

@@ -16,9 +16,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import fields
 from fractions import Fraction
 
-from .bounds import Bound, BoundSet, Constraint
+from .bounds import CANONICAL_FORMS, Bound, BoundSet
 from .metrics import MetricSurface, MetricsResult
 from .params import ChannelParams
 from .polytope import RatePoint, RatePolytope
@@ -46,15 +47,11 @@ def _rational_fields(name: str, value) -> dict:
     return {name: format_rational(value), f"{name}_decimal": format_decimal(value)}
 
 
+_PARAMS_FIELDS = tuple(field.name for field in fields(ChannelParams))
+
+
 def params_payload(params: ChannelParams) -> dict:
-    return {
-        "fwd11": params.fwd11,
-        "fwd22": params.fwd22,
-        "inr12": params.inr12,
-        "inr21": params.inr21,
-        "fb11": params.fb11,
-        "fb22": params.fb22,
-    }
+    return {name: getattr(params, name) for name in _PARAMS_FIELDS}
 
 
 def _document(params: ChannelParams, key: str, payload) -> dict:
@@ -83,33 +80,57 @@ def region_document(params: ChannelParams, poly: RatePolytope) -> dict:
     return _document(params, "region", {"bounds": bounds, "vertices": vertices})
 
 
-def _load(document) -> dict:
-    """A document dict from a dict or JSON text, refusing other schema versions."""
+def _load(document, key: str) -> tuple:
+    """(params, payload) of a document given as a dict or JSON text.
+
+    Raises ValueError for another schema version, a missing ``params`` or
+    ``key`` entry, or params other than the six exponents.
+    """
     if isinstance(document, str):
         document = json.loads(document)
     if document.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {document.get('schema_version')!r}")
-    return document
+    for name in ("params", key):
+        if name not in document:
+            raise ValueError(f"document has no {name!r} entry")
+    exponents = document["params"]
+    if set(exponents) != set(_PARAMS_FIELDS):
+        raise ValueError(f"params fields {sorted(exponents)} are not {list(_PARAMS_FIELDS)}")
+    return ChannelParams(**exponents), document[key]
+
+
+# The forms of a region document's bound rows: the caps, then non-negativity.
+_ROW_FORMS = CANONICAL_FORMS + ((-1, 0), (0, -1))
+
+
+def _bound_set(rows: list) -> BoundSet:
+    """The bound set a document's bound rows spell out; ValueError for any other rows."""
+    for row in rows:
+        if any(type(row[k]) is not int for k in ("r1_coeff", "r2_coeff", "rhs")):
+            raise ValueError(f"bound row {row} has a non-integer coefficient or rhs")
+    forms = tuple((row["r1_coeff"], row["r2_coeff"]) for row in rows)
+    if forms != _ROW_FORMS:
+        raise ValueError(f"bound rows have forms {forms}, expected {_ROW_FORMS}")
+    if any(row["rhs"] != 0 or row["source"] is not None for row in rows[5:]):
+        raise ValueError("a non-negativity row has a non-zero rhs or a source")
+    caps = rows[:5]
+    return BoundSet(tuple(row["rhs"] for row in caps),
+                    tuple(None if row["source"] is None else Bound(row["source"]) for row in caps))
 
 
 def parse_region_document(document):
-    """Exact inverse of region_document; accepts a dict or JSON text."""
-    document = _load(document)
-    params = ChannelParams(**document["params"])
-    constraints = tuple(
-        Constraint(
-            r1_coeff=row["r1_coeff"],
-            r2_coeff=row["r2_coeff"],
-            rhs=row["rhs"],
-            source=Bound(row["source"]) if row["source"] is not None else None,
-        )
-        for row in document["region"]["bounds"]
-    )
+    """Exact inverse of region_document; accepts a dict or JSON text.
+
+    Returns (params, bound set, vertices). The bound rows must be the five
+    canonical forms in order, then the two non-negativity rows, all with
+    integer coefficients and rhs; anything else raises ValueError.
+    """
+    params, region = _load(document, "region")
     vertices = tuple(
         RatePoint(parse_rational(row["r1"]), parse_rational(row["r2"]))
-        for row in document["region"]["vertices"]
+        for row in region["vertices"]
     )
-    return params, BoundSet(constraints), vertices
+    return params, _bound_set(region["bounds"]), vertices
 
 
 REGION_CSV_COLUMNS = (
@@ -170,16 +191,16 @@ def parse_surface_document(document):
 
     Returns (params, cells) with cells mapping (fb11, fb22) to MetricsResult.
     """
-    document = _load(document)
+    params, surface = _load(document, "surface")
     cells = {
         (row["fb11"], row["fb22"]): MetricsResult(
             delta1=parse_rational(row["delta1"]),
             delta2=parse_rational(row["delta2"]),
             sigma=parse_rational(row["sigma"]),
         )
-        for row in document["surface"]["cells"]
+        for row in surface["cells"]
     }
-    return ChannelParams(**document["params"]), cells
+    return params, cells
 
 
 SWEEP_CSV_COLUMNS = (

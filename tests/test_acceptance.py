@@ -100,8 +100,8 @@ def test_criterion_07_reduction_properties_on_random_channels():
         # (a) without feedback, each individual cap collapses to the direct link
         bare = derive_variant(params, "no_feedback")
         bare_bounds = build_bounds(bare)
-        assert bare_bounds.cap(1, 0) == params.fwd11
-        assert bare_bounds.cap(0, 1) == params.fwd22
+        assert bare_bounds.caps[0] == params.fwd11
+        assert bare_bounds.caps[1] == params.fwd22
 
         # (b) perfect feedback contains every noisy-feedback region
         noisy = capacity_region(params)

@@ -118,13 +118,18 @@ def test_constraint_holds_is_boundary_inclusive():
     assert not c.holds(3, 3)
 
 
-def test_bound_set_requires_canonical_forms():
+def test_bound_set_holds_five_non_negative_caps():
+    for caps in ((1, 2, 3, 4), (1, 2, 3, 4, 5, 6), (1, 2, -3, 4, 5)):
+        with pytest.raises(ValueError):
+            BoundSet(caps)
     with pytest.raises(ValueError):
-        BoundSet((Constraint(1, 0, 1),))
-    good = BoundSet.from_caps(1, 2, 3, 4, 5)
-    assert good.caps == (1, 2, 3, 4, 5)
-    with pytest.raises(KeyError):
-        good.cap(2, 2)
+        BoundSet((1, 2, 3, 4, 5), (None,) * 4)
+    good = BoundSet((1, 2, 3, 4, 5))
+    assert good.sources == (None,) * 5
+    assert [(c.r1_coeff, c.r2_coeff, c.rhs, c.source) for c in good.constraints] == [
+        (1, 0, 1, None), (0, 1, 2, None), (1, 1, 3, None), (2, 1, 4, None), (1, 2, 5, None),
+        (-1, 0, 0, None), (0, -1, 0, None),
+    ]
 
 
 def test_provenance_reports_binding_bound():
@@ -156,7 +161,7 @@ def test_partner_feedback_can_cap_below_direct_link():
 @given(params_strategy())
 def test_every_evaluation_is_non_negative(params):
     # intermediate terms may dip below zero, but each finished bound cannot;
-    # build_bounds relies on this when it constructs Constraint rows
+    # BoundSet refuses a negative cap, so build_bounds relies on this
     for bound in Bound:
         assert evaluate_bound(params, bound) >= 0
 
@@ -269,7 +274,7 @@ def test_endpoint_regions_match_the_published_closed_forms():
         params = ChannelParams(*exponents)
         for oracle, variant in ((bresler_tse_caps, "no_feedback"),
                                 (suh_tse_caps, "perfect_feedback")):
-            expected = RatePolytope.from_bounds(BoundSet.from_caps(*oracle(params)))
+            expected = RatePolytope.from_bounds(BoundSet(oracle(params)))
             region = capacity_region(derive_variant(params, variant))
             assert region.equals_region(expected), (exponents, variant)
 

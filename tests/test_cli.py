@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-import ldic.metrics
 from ldic import (
     SCHEMES,
     ChannelParams,
@@ -13,7 +12,6 @@ from ldic import (
     capacity_region,
     compute_metrics,
     derive_config,
-    derive_variant,
     draw_messages,
     run_scheme,
 )
@@ -98,19 +96,6 @@ def test_metrics_document(capsys):
         {"link": 1, "threshold": 8, "saturation": 10},
         {"link": 2, "threshold": 3, "saturation": 10},
     ]
-
-
-def test_metrics_request_builds_the_base_region_once(capsys, monkeypatch):
-    builds = []
-
-    def counting_bounds(p):
-        builds.append(p)
-        return build_bounds(p)
-
-    monkeypatch.setattr(ldic.metrics, "build_bounds", counting_bounds)
-    code, _, _ = run_cli(capsys, "metrics", *FIG_FLAGS, "--fb11", "9", "--fb22", "4")
-    assert code == 0
-    assert builds.count(derive_variant(ChannelParams(10, 10, 3, 8), "no_feedback")) == 1
 
 
 def test_metrics_on_a_useless_channel(capsys):

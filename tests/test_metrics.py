@@ -24,7 +24,7 @@ from ldic import (
     sweep,
 )
 from ldic.bounds import BoundSet, link_profile
-from ldic.metrics import MetricsResult, ThresholdReport, metrics_report
+from ldic.metrics import MetricsResult, ThresholdReport
 from ldic.params import MAX_EXPONENT
 
 from helpers import delta_grid_oracle, linear_threshold, random_params, vertex_delta
@@ -182,17 +182,6 @@ def test_threshold_search_is_logarithmic_at_the_exponent_cap(monkeypatch, params
         else:
             assert at(report.threshold).equals_region(base)
             assert not at(report.threshold + 1).equals_region(base)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.tuples(*[st.integers(0, 20)] * 4), st.integers(0, 22), st.integers(0, 22))
-def test_metrics_report_matches_the_four_public_calls(exponents, fb11, fb22):
-    params = ChannelParams(*exponents, fb11, fb22)
-    assert metrics_report(params) == (
-        compute_metrics(params),
-        (feedback_threshold(params, 1), feedback_threshold(params, 2)),
-        feedback_useless(params),
-    )
 
 
 def test_threshold_report_validation():
@@ -456,8 +445,8 @@ def test_cap_metrics_match_the_vertex_path(pair):
     # the metrics read the five caps alone; the oracle reads the two
     # regions' vertex lists alone
     caps, base_caps = pair
-    region = RatePolytope.from_bounds(BoundSet.from_caps(*caps))
-    base = RatePolytope.from_bounds(BoundSet.from_caps(*base_caps))
+    region = RatePolytope.from_bounds(BoundSet(caps))
+    base = RatePolytope.from_bounds(BoundSet(base_caps))
     result = ldic.metrics._cell(caps, base_caps)
     assert result.delta1 == vertex_delta(region, base, 1)
     assert result.delta2 == vertex_delta(region, base, 2)
@@ -494,8 +483,8 @@ def test_sum_maximum_is_capped_by_the_sum_bound():
         params = random_params(rng, 15)
         region = capacity_region(params)
         base = capacity_region(derive_variant(params, "no_feedback"))
-        assert region.max_linear(1, 1) <= region.bounds.cap(1, 1)
-        assert base.max_linear(1, 1) <= base.bounds.cap(1, 1)
+        assert region.max_linear(1, 1) <= region.bounds.caps[2]
+        assert base.max_linear(1, 1) <= base.bounds.caps[2]
         assert sigma(params) == region.max_linear(1, 1) - base.max_linear(1, 1)
 
 
@@ -505,5 +494,5 @@ def test_sum_improvement_can_exceed_the_sum_bound_gap():
     params = ChannelParams(1, 0, 3, 15, 0, 9)
     region = capacity_region(params)
     base = capacity_region(derive_variant(params, "no_feedback"))
-    assert region.bounds.cap(1, 1) == base.bounds.cap(1, 1) == 3
+    assert region.bounds.caps[2] == base.bounds.caps[2] == 3
     assert sigma(params) == 2

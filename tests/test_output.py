@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ldic import ChannelParams, capacity_region, sweep
+from ldic import ChannelParams, build_bounds, capacity_region, sweep
+from ldic.params import MAX_EXPONENT
 from ldic.output import (
     format_decimal,
     format_rational,
@@ -63,6 +64,78 @@ def test_parse_region_document_rejects_unknown_schema():
     doc["schema_version"] = "99"
     with pytest.raises(ValueError):
         parse_region_document(doc)
+
+
+def _region_doc():
+    params = ChannelParams(5, 4, 3, 2, 1, 0)
+    return region_document(params, capacity_region(params))
+
+
+def _with_rows(rows):
+    doc = _region_doc()
+    doc["region"]["bounds"] = rows
+    return doc
+
+
+def _with_rhs(index, rhs):
+    doc = _region_doc()
+    doc["region"]["bounds"][index]["rhs"] = rhs
+    return doc
+
+
+_ROWS = _region_doc()["region"]["bounds"]
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param(_with_rows([_ROWS[1], _ROWS[0]] + _ROWS[2:]), id="forms out of order"),
+    pytest.param(_with_rows(_ROWS[:5] + _ROWS[6:]), id="six rows"),
+    pytest.param(_with_rhs(2, -1), id="negative rhs"),
+    pytest.param(_with_rhs(0, "5"), id="text rhs"),
+    pytest.param(_with_rhs(0, 1.0), id="float rhs"),
+    pytest.param(_with_rhs(0, True), id="bool rhs"),
+    pytest.param(_with_rhs(5, 1), id="non-zero non-negativity rhs"),
+])
+def test_parse_region_document_refuses_malformed_bound_rows(doc):
+    with pytest.raises(ValueError):
+        parse_region_document(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(*[st.one_of(st.integers(0, 12), st.integers(0, MAX_EXPONENT))] * 6),
+       st.booleans())
+def test_parse_region_document_inverts_region_document(exponents, as_text):
+    # exponents reach the cap, with n12, n21 and both feedback levels drawn apart
+    params = ChannelParams(*exponents)
+    poly = capacity_region(params)
+    document = region_document(params, poly)
+    if as_text:
+        document = json.dumps(document, indent=2)
+    parsed_params, bounds, vertices = parse_region_document(document)
+    assert parsed_params == params
+    assert bounds == build_bounds(params)  # caps and sources
+    assert vertices == poly.vertices
+
+
+def _surface_doc():
+    params = ChannelParams(2, 1, 1, 0)
+    return surface_document(params, sweep(params))
+
+
+@pytest.mark.parametrize("parse,make,key", [
+    (parse_region_document, _region_doc, "region"),
+    (parse_surface_document, _surface_doc, "surface"),
+])
+@pytest.mark.parametrize("damage", ["extra params key", "missing params", "missing payload"])
+def test_parsers_refuse_malformed_documents_with_value_error(parse, make, key, damage):
+    doc = make()
+    if damage == "extra params key":
+        doc["params"]["fb33"] = 0
+    elif damage == "missing params":
+        del doc["params"]
+    else:
+        del doc[key]
+    with pytest.raises(ValueError):
+        parse(doc)
 
 
 @settings(max_examples=40, deadline=None)

@@ -27,7 +27,7 @@ from helpers import (
 
 
 def region_from_caps(*caps):
-    return RatePolytope.from_bounds(BoundSet.from_caps(*caps))
+    return RatePolytope.from_bounds(BoundSet(caps))
 
 
 def vertex_set(poly):
@@ -165,7 +165,7 @@ def assert_corners_match_the_pairwise_scan(bounds):
 @settings(max_examples=400, deadline=None)
 @given(st.tuples(*[wide_cap] * 5))
 def test_corners_match_the_pairwise_scan(caps):
-    assert_corners_match_the_pairwise_scan(BoundSet.from_caps(*caps))
+    assert_corners_match_the_pairwise_scan(BoundSet(caps))
 
 
 # n12 and n21 are drawn independently, and feedback levels run past saturation
@@ -191,7 +191,7 @@ def test_channel_corners_match_the_pairwise_scan(params):
 )
 def test_corners_at_the_end_and_off_the_sixths_grid(caps, corners):
     assert region_from_caps(*caps).vertices == tuple(RatePoint(*v) for v in corners)
-    assert_corners_match_the_pairwise_scan(BoundSet.from_caps(*caps))
+    assert_corners_match_the_pairwise_scan(BoundSet(caps))
 
 
 def _tight_somewhere(constraint, poly):
