@@ -81,6 +81,7 @@ def _cell(caps: tuple, base: tuple) -> MetricsResult:
     )
 
 
+# Not in ldic.__all__; kept because benchmarks/tracing.LAYER_API wraps delta and sigma.
 def delta(params: ChannelParams, user: int) -> Fraction:
     """Maximum individual-rate improvement feedback buys user 1 or 2."""
     if user not in (1, 2):

@@ -39,10 +39,6 @@ def format_decimal(value) -> str:
     return f"{sign}{abs(scaled) // 10**6}.{abs(scaled) % 10**6:06d}"
 
 
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _rational_fields(name: str, value) -> dict:
     return {name: format_rational(value), f"{name}_decimal": format_decimal(value)}
 
@@ -83,19 +79,22 @@ def region_document(params: ChannelParams, poly: RatePolytope) -> dict:
 def _load(document, key: str) -> tuple:
     """(params, payload) of a document given as a dict or JSON text.
 
-    Raises ValueError for another schema version, a missing ``params`` or
-    ``key`` entry, or params other than the six exponents.
+    Raises ValueError for a document that is not a JSON object, another
+    schema version, a missing ``params`` or ``key`` entry, or params other
+    than the six exponents.
     """
     if isinstance(document, str):
         document = json.loads(document)
+    if not isinstance(document, dict):
+        raise ValueError(f"document is a {type(document).__name__}, not an object")
     if document.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {document.get('schema_version')!r}")
     for name in ("params", key):
         if name not in document:
             raise ValueError(f"document has no {name!r} entry")
     exponents = document["params"]
-    if set(exponents) != set(_PARAMS_FIELDS):
-        raise ValueError(f"params fields {sorted(exponents)} are not {list(_PARAMS_FIELDS)}")
+    if not isinstance(exponents, dict) or set(exponents) != set(_PARAMS_FIELDS):
+        raise ValueError(f"params {exponents!r} are not the fields {list(_PARAMS_FIELDS)}")
     return ChannelParams(**exponents), document[key]
 
 
@@ -123,14 +122,17 @@ def parse_region_document(document):
 
     Returns (params, bound set, vertices). The bound rows must be the five
     canonical forms in order, then the two non-negativity rows, all with
-    integer coefficients and rhs; anything else raises ValueError.
+    integer coefficients and rhs; anything else, like any other malformed
+    document, raises ValueError.
     """
     params, region = _load(document, "region")
-    vertices = tuple(
-        RatePoint(parse_rational(row["r1"]), parse_rational(row["r2"]))
-        for row in region["vertices"]
-    )
-    return params, _bound_set(region["bounds"]), vertices
+    try:
+        vertices = tuple(RatePoint(Fraction(row["r1"]), Fraction(row["r2"]))
+                         for row in region["vertices"])
+        bounds = _bound_set(region["bounds"])
+    except (KeyError, TypeError) as exc:  # an entry missing or of the wrong type
+        raise ValueError(f"malformed region entry: {exc!r}") from exc
+    return params, bounds, vertices
 
 
 REGION_CSV_COLUMNS = (
@@ -189,17 +191,21 @@ def surface_document(params: ChannelParams, surface: MetricSurface) -> dict:
 def parse_surface_document(document):
     """Exact inverse of surface_document; accepts a dict or JSON text.
 
-    Returns (params, cells) with cells mapping (fb11, fb22) to MetricsResult.
+    Returns (params, cells) with cells mapping (fb11, fb22) to MetricsResult;
+    a malformed document raises ValueError.
     """
     params, surface = _load(document, "surface")
-    cells = {
-        (row["fb11"], row["fb22"]): MetricsResult(
-            delta1=parse_rational(row["delta1"]),
-            delta2=parse_rational(row["delta2"]),
-            sigma=parse_rational(row["sigma"]),
-        )
-        for row in surface["cells"]
-    }
+    try:
+        cells = {
+            (row["fb11"], row["fb22"]): MetricsResult(
+                delta1=Fraction(row["delta1"]),
+                delta2=Fraction(row["delta2"]),
+                sigma=Fraction(row["sigma"]),
+            )
+            for row in surface["cells"]
+        }
+    except (KeyError, TypeError) as exc:  # an entry missing or of the wrong type
+        raise ValueError(f"malformed surface entry: {exc!r}") from exc
     return params, cells
 
 

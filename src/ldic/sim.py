@@ -6,7 +6,9 @@ exponent k delivers the top k levels of its input into the bottom k levels
 of the receiver, which is a down-shift by q-k (``>>``); cross signals
 superpose over GF(2) (``^``). Each receiver's output travels back to its own
 transmitter through a feedback link with its own exponent, arriving a fixed
-number of channel uses later.
+number of channel uses later; a feedback exponent of q or more passes the
+whole output. ``run_session`` is the one place a channel use is computed:
+read a single use, or the feedback a delay brings, from its ``trace``.
 
 Encoders and decoders are caller-supplied. Encoders return int vectors and
 see int feedback; decoders see the int outputs. A message and an estimate
@@ -31,17 +33,9 @@ def _is_bits(v) -> bool:
     return type(v) is str and not v.strip("01")
 
 
-def _check_vector(v, q: int, what: str) -> int:
+def _check_vector(v, q: int, what: str) -> None:
     if not (type(v) is int and 0 <= v < 1 << q):
         raise ValueError(f"{what} is not a {q}-bit vector (an int in [0, 2**{q})): {v!r}")
-    return v
-
-
-def down_shift(v: int, k: int) -> int:
-    """Move every bit k levels toward the least significant end, zero-filling the top."""
-    if k < 0:
-        raise ValueError(f"shift must be non-negative, got {k}")
-    return v >> k
 
 
 @dataclass(frozen=True)
@@ -67,30 +61,6 @@ class SimConfig:
 
 def derive_config(params: ChannelParams, delay: int = 1, block_length: int = 1) -> SimConfig:
     return SimConfig(params=params, delay=delay, block_length=block_length)
-
-
-def _shifts(cfg: SimConfig) -> tuple:
-    """Down-shifts of every link: into receiver 1 (direct, cross), into
-    receiver 2 (direct, cross), and the feedback links 1 and 2."""
-    q, p = cfg.q, cfg.params
-    return (q - p.fwd11, q - p.inr12, q - p.fwd22, q - p.inr21,
-            max(q - p.fb11, 0), max(q - p.fb22, 0))
-
-
-def forward_outputs(x1: int, x2: int, cfg: SimConfig):
-    """Receiver outputs for one channel use: own signal XOR cross signal, each attenuated."""
-    x1 = _check_vector(x1, cfg.q, "x1")
-    x2 = _check_vector(x2, cfg.q, "x2")
-    s11, s12, s22, s21, _, _ = _shifts(cfg)
-    return (x1 >> s11) ^ (x2 >> s12), (x2 >> s22) ^ (x1 >> s21)
-
-
-def feedback_signal(y_past: int, link: int, cfg: SimConfig) -> int:
-    """What a transmitter's feedback link delivers from its receiver's old output."""
-    if link not in (1, 2):
-        raise ValueError(f"link must be 1 or 2, got {link!r}")
-    f1, f2 = _shifts(cfg)[4:]
-    return _check_vector(y_past, cfg.q, "y_past") >> (f1 if link == 1 else f2)
 
 
 class TraceStep(NamedTuple):
@@ -141,8 +111,11 @@ def run_session(cfg: SimConfig, encoders, decoders, messages) -> SessionResult:
     enc1, enc2 = encoders
     dec1, dec2 = decoders
 
-    q, delay = cfg.q, cfg.delay
-    s11, s12, s22, s21, f1, f2 = _shifts(cfg)
+    q, delay, p = cfg.q, cfg.delay, cfg.params
+    # each link's down-shift: into receiver 1 (direct, cross), into receiver
+    # 2 (direct, cross), then feedback links 1 and 2
+    s11, s12, s22, s21 = q - p.fwd11, q - p.inr12, q - p.fwd22, q - p.inr21
+    f1, f2 = max(q - p.fb11, 0), max(q - p.fb22, 0)
     top = 1 << q
     y1_hist, y2_hist = [], []
     fb1_hist, fb2_hist = [], []

@@ -2,7 +2,6 @@ import ldic
 
 SURFACE = [
     "ChannelParams",
-    "GaussianParams",
     "MetricSurface",
     "RatePoint",
     "RatePolytope",
@@ -10,16 +9,13 @@ SURFACE = [
     "build_bounds",
     "capacity_region",
     "compute_metrics",
-    "delta",
     "derive_config",
     "derive_variant",
     "draw_messages",
     "feedback_threshold",
     "feedback_useless",
-    "gaussian_to_ld",
     "run_scheme",
     "run_session",
-    "sigma",
     "sweep",
 ]
 

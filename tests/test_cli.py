@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +18,7 @@ from ldic import (
     run_scheme,
 )
 from ldic.cli import main
-from ldic.output import parse_rational, parse_region_document
+from ldic.output import parse_region_document
 
 FIG_FLAGS = ["--n11", "10", "--n22", "10", "--n12", "3", "--n21", "8"]
 
@@ -120,7 +122,7 @@ def test_metrics_near_the_exponent_cap(capsys):
     assert params == ChannelParams(10000, 9000, 10000, 9500, 0, 7000)
     payload = doc["metrics"]
     expected = compute_metrics(params)
-    assert [parse_rational(payload[k]) for k in ("delta1", "delta2", "sigma")] == [
+    assert [Fraction(payload[k]) for k in ("delta1", "delta2", "sigma")] == [
         expected.delta1, expected.delta2, expected.sigma,
     ]
     assert payload["thresholds"] == [
@@ -157,7 +159,7 @@ def test_sweep_json_and_csv_agree(capsys):
         assert cell["fb11"] == int(row["fb11"]) and cell["fb22"] == int(row["fb22"])
         for field in ("delta1", "delta2", "sigma"):
             assert cell[field] == row[field]
-            assert parse_rational(cell[field]) == parse_rational(row[field])
+            assert Fraction(cell[field]) == Fraction(row[field])
 
 
 def test_simulate_clean_pipes(capsys):
@@ -214,7 +216,7 @@ def test_simulate_document_carries_the_session_text(capsys, scheme, trace):
     assert [len(e) for e in session["estimates"]] == list(lengths)
     for user, (sent, estimate) in enumerate(zip(session["messages"], session["estimates"]), 1):
         wrong = sum(a != b for a, b in zip(sent, estimate))
-        assert parse_rational(session[f"p{user}"]) == Fraction(wrong, len(sent))
+        assert Fraction(session[f"p{user}"]) == Fraction(wrong, len(sent))
     assert session["p1"] != "0/1" or session["p2"] != "0/1"
 
 
@@ -242,3 +244,20 @@ def test_domain_errors_exit_with_two(capsys):
         capsys, "region", "--n11", "10001", "--n22", "0", "--n12", "0", "--n21", "0",
     )
     assert code == 2 and err.startswith("error:")
+
+
+def readme_commands():
+    """Each `ldic ...` command of the README's "Command line" block, as argv."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("ldic ")]
+
+
+def test_readme_command_examples_exit_zero(capsys):
+    commands = readme_commands()
+    assert commands
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out, argv

@@ -16,15 +16,13 @@ from ldic import (
     build_bounds,
     capacity_region,
     compute_metrics,
-    delta,
     derive_variant,
     feedback_threshold,
     feedback_useless,
-    sigma,
     sweep,
 )
 from ldic.bounds import BoundSet, link_profile
-from ldic.metrics import MetricsResult, ThresholdReport
+from ldic.metrics import MetricsResult, ThresholdReport, delta, sigma
 from ldic.params import MAX_EXPONENT
 
 from helpers import delta_grid_oracle, linear_threshold, random_params, vertex_delta

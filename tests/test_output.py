@@ -9,7 +9,6 @@ from ldic.params import MAX_EXPONENT
 from ldic.output import (
     format_decimal,
     format_rational,
-    parse_rational,
     parse_region_document,
     parse_surface_document,
     region_document,
@@ -34,7 +33,7 @@ def test_decimal_field_is_six_places():
 
 def test_parse_rational_inverts_format():
     for value in (Fraction(3, 2), Fraction(0), Fraction(22, 7), Fraction(10)):
-        assert parse_rational(format_rational(value)) == value
+        assert Fraction(format_rational(value)) == value
 
 
 def test_region_document_fields():
@@ -121,19 +120,35 @@ def _surface_doc():
     return surface_document(params, sweep(params))
 
 
+# Per payload, (list, field) of a row: one field every row needs, one rational.
+_NEEDED = {"region": ("bounds", "source"), "surface": ("cells", "sigma")}
+_RATIONAL = {"region": ("vertices", "r1"), "surface": ("cells", "delta1")}
+
+
 @pytest.mark.parametrize("parse,make,key", [
     (parse_region_document, _region_doc, "region"),
     (parse_surface_document, _surface_doc, "surface"),
 ])
-@pytest.mark.parametrize("damage", ["extra params key", "missing params", "missing payload"])
+@pytest.mark.parametrize("damage", [
+    "extra params key", "missing params", "missing payload",
+    "not an object", "row without a needed field", "null rational",
+])
 def test_parsers_refuse_malformed_documents_with_value_error(parse, make, key, damage):
     doc = make()
     if damage == "extra params key":
         doc["params"]["fb33"] = 0
     elif damage == "missing params":
         del doc["params"]
-    else:
+    elif damage == "missing payload":
         del doc[key]
+    elif damage == "not an object":
+        doc = "[1]"
+    elif damage == "row without a needed field":
+        rows, field = _NEEDED[key]
+        del doc[key][rows][0][field]
+    else:
+        rows, field = _RATIONAL[key]
+        doc[key][rows][0][field] = None
     with pytest.raises(ValueError):
         parse(doc)
 

@@ -3,13 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ldic import (
-    ChannelParams,
-    GaussianParams,
-    derive_variant,
-    gaussian_to_ld,
-)
-from ldic.params import MAX_EXPONENT
+from ldic import ChannelParams, derive_variant
+from ldic.params import MAX_EXPONENT, GaussianParams, gaussian_to_ld
 
 exponents = st.integers(min_value=0, max_value=40)
 

@@ -215,6 +215,7 @@ def test_region_equality_is_mutual_inclusion(caps, other_caps, which, amount):
         loosened[slack[which % len(slack)]] += amount
         same = region_from_caps(*loosened)
         assert same.bounds != poly.bounds and same.equals_region(poly)
+        assert same != poly  # == compares the bounds as well as the region
         others.append(same)
     for other in others:
         assert poly.equals_region(other) == (poly.subset_of(other) and other.subset_of(poly))

@@ -17,9 +17,6 @@ from ldic.sim import (
     POINT_TO_POINT,
     SCHEMES,
     SimConfig,
-    down_shift,
-    feedback_signal,
-    forward_outputs,
 )
 
 from helpers import reference_draw, reference_scheme, reference_session
@@ -33,6 +30,14 @@ def bits_of(v, q):
 def as_text(messages):
     """Bit tuples as the simulator's 0/1 text, first bit first."""
     return tuple("".join(map(str, bits)) for bits in messages)
+
+
+def constant_session(params, x1, x2, block_length=1):
+    """The trace of a delay-1 session whose encoders send x1 and x2 at every use."""
+    cfg = derive_config(params, delay=1, block_length=block_length)
+    silent = lambda outputs: ""
+    encoders = (lambda message, feedback: x1, lambda message, feedback: x2)
+    return run_session(cfg, encoders, (silent, silent), ("", "")).trace
 
 
 def test_derive_config_examples():
@@ -53,58 +58,43 @@ def test_config_validation():
         SimConfig(params=p, delay=1, block_length=0)
 
 
-def test_down_shift_examples():
-    assert down_shift(0b1000, 2) == 0b0010
-    assert down_shift(0b1011, 0) == 0b1011
-    assert down_shift(0b1111, 4) == 0
-    assert down_shift(0b11, 9) == 0
-    with pytest.raises(ValueError):
-        down_shift(0b10, -1)
-
-
 def test_forward_outputs_unit_vectors():
-    cfg = derive_config(ChannelParams(4, 4, 2, 2), block_length=1)
-    y1, y2 = forward_outputs(0b1000, 0b1000, cfg)
-    assert y1 == 0b1010
-    assert y2 == 0b1010
+    step, = constant_session(ChannelParams(4, 4, 2, 2), 0b1000, 0b1000)
+    assert step.y1 == 0b1010
+    assert step.y2 == 0b1010
 
 
 def test_forward_outputs_without_interference():
-    cfg = derive_config(ChannelParams(4, 4, 0, 0), block_length=1)
     x1 = 0b1011
-    y1, y2 = forward_outputs(x1, 0b0110, cfg)
-    assert y1 == x1  # direct link spans the whole vector, cross link is dark
-    assert y2 == 0b0110
+    step, = constant_session(ChannelParams(4, 4, 0, 0), x1, 0b0110)
+    assert step.y1 == x1  # direct link spans the whole vector, cross link is dark
+    assert step.y2 == 0b0110
 
 
 def test_forward_outputs_on_zero_inputs():
-    cfg = derive_config(ChannelParams(3, 2, 1, 2), block_length=1)
-    y1, y2 = forward_outputs(0, 0, cfg)
-    assert y1 == 0 and y2 == 0
+    step, = constant_session(ChannelParams(3, 2, 1, 2), 0, 0)
+    assert step.y1 == 0 and step.y2 == 0
 
 
 def test_forward_outputs_validates_inputs():
-    cfg = derive_config(ChannelParams(3, 2, 1, 2), block_length=1)
+    params = ChannelParams(3, 2, 1, 2)
     for bad in (1 << 3, -1, (1, 0, 1), True, 1.0):
         with pytest.raises(ValueError):
-            forward_outputs(bad, 0, cfg)
+            constant_session(params, bad, 0)
         with pytest.raises(ValueError):
-            forward_outputs(0, bad, cfg)
+            constant_session(params, 0, bad)
 
 
 def test_feedback_signal_shifts_by_the_link_deficit():
-    cfg = derive_config(ChannelParams(4, 4, 0, 0, 2, 0), block_length=1)
-    assert feedback_signal(0b1100, 1, cfg) == 0b0011
-    assert feedback_signal(0b1100, 2, cfg) == 0
-    with pytest.raises(ValueError):
-        feedback_signal(0b1100, 3, cfg)
-    with pytest.raises(ValueError):
-        feedback_signal(1 << 4, 1, cfg)
+    # y1 = y2 = 0b1100; feedback link 1 keeps its top 2 levels, link 2 none
+    _, step = constant_session(ChannelParams(4, 4, 0, 0, 2, 0), 0b1100, 0b1100, block_length=2)
+    assert step.fb1 == 0b0011
+    assert step.fb2 == 0
 
 
 def test_feedback_signal_passes_through_at_saturation():
-    cfg = derive_config(ChannelParams(4, 4, 0, 0, 9, 0), block_length=1)
-    assert feedback_signal(0b0110, 1, cfg) == 0b0110
+    _, step = constant_session(ChannelParams(4, 4, 0, 0, 9, 0), 0b0110, 0, block_length=2)
+    assert step.fb1 == 0b0110
 
 
 def test_point_to_point_round_trip():
@@ -189,16 +179,17 @@ def test_run_session_rejects_malformed_encoders_and_decoders():
 
 
 def test_feedback_arrives_after_the_configured_delay():
-    params = ChannelParams(3, 3, 1, 1, 3, 3)
-    cfg = derive_config(params, delay=2, block_length=5)
-    lengths = POINT_TO_POINT.message_lengths(cfg)
-    result = run_scheme(cfg, POINT_TO_POINT, draw_messages(lengths, seed=11))
-    for n, step in enumerate(result.trace, start=1):
+    params = ChannelParams(3, 3, 1, 1, 2, 1)  # unequal feedback links, both below q
+    cfg = derive_config(params, delay=2, block_length=8)
+    lengths, encoders, decoders = reference_scheme("point-to-point", params, cfg.block_length)
+    messages = reference_draw(lengths, seed=11)
+    result = run_scheme(cfg, POINT_TO_POINT, as_text(messages))
+    trace = reference_session(params, cfg.delay, cfg.block_length, encoders, decoders, messages)[0]
+    for n, (step, expected) in enumerate(zip(result.trace, trace), start=1):
+        assert (bits_of(step.fb1, cfg.q), bits_of(step.fb2, cfg.q)) == expected[4:]
         if n <= cfg.delay:
-            assert step.fb1 == 0
-        else:
-            expected = feedback_signal(result.trace[n - cfg.delay - 1].y1, 1, cfg)
-            assert step.fb1 == expected
+            assert step.fb1 == step.fb2 == 0
+    assert any(step.fb1 for step in result.trace) and any(step.fb2 for step in result.trace)
 
 
 def test_encoder_sees_exactly_the_feedback_delivered_before_each_use():
@@ -300,13 +291,6 @@ bit_vectors = st.integers(1, 24).flatmap(
 
 @settings(max_examples=200, deadline=None)
 @given(bit_vectors)
-def test_shift_composition(data):
-    _, v, _, a, b = data
-    assert down_shift(down_shift(v, a), b) == down_shift(v, a + b)
-
-
-@settings(max_examples=200, deadline=None)
-@given(bit_vectors)
 def test_channel_is_linear_over_gf2(data):
     q, v, w, a, b = data
     rng = random.Random(a * 31 + b)
@@ -316,12 +300,11 @@ def test_channel_is_linear_over_gf2(data):
         inr12=rng.randint(0, q),
         inr21=rng.randint(0, q),
     )
-    cfg = derive_config(params, block_length=1)
-    mixed = forward_outputs(v ^ w, v, cfg)
-    left = forward_outputs(v, v, cfg)
-    right = forward_outputs(w, 0, cfg)
-    assert mixed[0] == left[0] ^ right[0]
-    assert mixed[1] == left[1] ^ right[1]
+    mixed, = constant_session(params, v ^ w, v)
+    left, = constant_session(params, v, v)
+    right, = constant_session(params, w, 0)
+    assert mixed.y1 == left.y1 ^ right.y1
+    assert mixed.y2 == left.y2 ^ right.y2
 
 @st.composite
 def oracle_sessions(draw):
