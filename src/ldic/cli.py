@@ -2,6 +2,11 @@
 
 Exit status is 0 on success and 2 on any usage or validation problem;
 results go to stdout as JSON (default) or CSV where supported.
+
+Each channel flag is declared once, in ``_CHANNEL_FLAGS``. ``main`` builds
+the ChannelParams from them (an absent feedback flag reads 0) and hands it to
+the subcommand's handler, which returns a document dict or CSV text; ``main``
+alone turns a document into JSON and writes stdout.
 """
 
 from __future__ import annotations
@@ -34,31 +39,21 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-def _add_channel_flags(parser: argparse.ArgumentParser, feedback: bool = True) -> None:
-    parser.add_argument("--n11", type=_nonneg_int, required=True,
-                        help="forward exponent of pair 1")
-    parser.add_argument("--n22", type=_nonneg_int, required=True,
-                        help="forward exponent of pair 2")
-    parser.add_argument("--n12", type=_nonneg_int, required=True,
-                        help="interference exponent at receiver 1")
-    parser.add_argument("--n21", type=_nonneg_int, required=True,
-                        help="interference exponent at receiver 2")
-    if feedback:
-        parser.add_argument("--fb11", type=_nonneg_int, default=0,
-                            help="feedback exponent of pair 1 (default 0)")
-        parser.add_argument("--fb22", type=_nonneg_int, default=0,
-                            help="feedback exponent of pair 2 (default 0)")
+# (flag, ChannelParams field, help) of every channel flag; the first four
+# are required, and sweep takes only those (its grid covers every feedback level).
+_CHANNEL_FLAGS = (
+    ("--n11", "fwd11", "forward exponent of pair 1"),
+    ("--n22", "fwd22", "forward exponent of pair 2"),
+    ("--n12", "inr12", "interference exponent at receiver 1"),
+    ("--n21", "inr21", "interference exponent at receiver 2"),
+    ("--fb11", "fb11", "feedback exponent of pair 1 (default 0)"),
+    ("--fb22", "fb22", "feedback exponent of pair 2 (default 0)"),
+)
 
 
-def _channel_params(args, feedback: bool = True) -> ChannelParams:
-    return ChannelParams(
-        fwd11=args.n11,
-        fwd22=args.n22,
-        inr12=args.n12,
-        inr21=args.n21,
-        fb11=args.fb11 if feedback else 0,
-        fb22=args.fb22 if feedback else 0,
-    )
+def _add_channel_flags(parser: argparse.ArgumentParser, rows=_CHANNEL_FLAGS) -> None:
+    for i, (flag, _, text) in enumerate(rows):
+        parser.add_argument(flag, type=_nonneg_int, required=i < 4, default=0, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_channel_flags(metrics)
 
     surface = commands.add_parser("sweep", help="metrics over the whole feedback grid")
-    _add_channel_flags(surface, feedback=False)
+    _add_channel_flags(surface, _CHANNEL_FLAGS[:4])
     surface.add_argument("--format", choices=("json", "csv"), default="json")
 
     simulate = commands.add_parser("simulate", help="run a bit-level channel session")
@@ -94,37 +89,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_region(args) -> str:
-    params = _channel_params(args)
+def _cmd_region(params: ChannelParams, args):
     poly = capacity_region(params)
-    if args.format == "csv":
-        return region_csv(poly)
-    return json.dumps(region_document(params, poly), indent=2) + "\n"
+    return region_csv(poly) if args.format == "csv" else region_document(params, poly)
 
 
-def _cmd_metrics(args) -> str:
-    params = _channel_params(args)
+def _cmd_metrics(params: ChannelParams, args) -> dict:
     thresholds = (feedback_threshold(params, 1), feedback_threshold(params, 2))
-    doc = metrics_document(params, compute_metrics(params), thresholds, feedback_useless(params))
-    return json.dumps(doc, indent=2) + "\n"
+    return metrics_document(params, compute_metrics(params), thresholds, feedback_useless(params))
 
 
-def _cmd_sweep(args) -> str:
-    params = _channel_params(args, feedback=False)
+def _cmd_sweep(params: ChannelParams, args):
     surface = sweep(params)
-    if args.format == "csv":
-        return sweep_csv(surface)
-    return json.dumps(surface_document(params, surface), indent=2) + "\n"
+    return sweep_csv(surface) if args.format == "csv" else surface_document(params, surface)
 
 
-def _cmd_simulate(args) -> str:
-    params = _channel_params(args)
+def _cmd_simulate(params: ChannelParams, args) -> dict:
     cfg = derive_config(params, delay=args.delay, block_length=args.block_length)
     scheme = SCHEMES[args.scheme]
     messages = draw_messages(scheme.message_lengths(cfg), args.seed)
     result = run_scheme(cfg, scheme, messages)
-    doc = session_document(cfg, scheme.name, args.seed, result, include_trace=args.trace)
-    return json.dumps(doc, indent=2) + "\n"
+    return session_document(cfg, scheme.name, args.seed, result, include_trace=args.trace)
 
 
 _COMMANDS = {
@@ -136,10 +121,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        text = _COMMANDS[args.command](args)
+        params = ChannelParams(**{field: getattr(args, flag[2:], 0)
+                                  for flag, field, _ in _CHANNEL_FLAGS})
+        out = _COMMANDS[args.command](params, args)
+        text = out if isinstance(out, str) else json.dumps(out, indent=2) + "\n"
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

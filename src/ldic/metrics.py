@@ -12,6 +12,7 @@ MetricsResult is built.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -59,12 +60,23 @@ class ThresholdReport:
 class MetricSurface:
     """Metrics for every integer feedback pair up to the saturation grid.
 
-    ``cells`` maps (fb11, fb22) to its MetricsResult, in fb11-major,
-    fb22-minor order, both ascending; cells with the same caps share one
-    MetricsResult.
+    ``results[i][j]`` is the MetricsResult of link 1's i-th and link 2's j-th
+    distinct terms (``bounds.link_profile``), and ``index1[fb11]``,
+    ``index2[fb22]`` are the positions of each level's terms, so the cell
+    (fb11, fb22) is ``results[index1[fb11]][index2[fb22]]``: cells with the
+    same pair of terms share one MetricsResult. ``cells`` maps (fb11, fb22)
+    to its MetricsResult, fb11-major and fb22-minor, both ascending; it is
+    built on first use and cached.
     """
 
-    cells: dict
+    results: tuple
+    index1: tuple
+    index2: tuple
+
+    @cached_property
+    def cells(self) -> dict:
+        return {(fb11, fb22): self.results[i][j]
+                for fb11, i in enumerate(self.index1) for fb22, j in enumerate(self.index2)}
 
 
 def _base(params: ChannelParams) -> tuple:
@@ -141,17 +153,12 @@ def sweep(params: ChannelParams) -> MetricSurface:
     there. Each link's terms depend on its own feedback level alone (see
     ``bounds``), so each link is evaluated once per level, O(S1 + S2) link
     evaluations, and one cap tuple is measured per pair of distinct link
-    terms. A cell is then two index lookups into that table. Cells run
-    fb11-major, fb22-minor, both ascending.
+    terms. The surface holds that table and each link's level-to-terms
+    index, so a cell is two index lookups.
     """
     base = _base(params)
     terms1, index1 = link_profile(params, 1)
     terms2, index2 = link_profile(params, 2)
-    table = [[_cell(compose_bounds(params, t1, t2).caps, base) for t2 in terms2]
-             for t1 in terms1]
-    cells = {}
-    for fb11, i in enumerate(index1):
-        row = table[i]
-        for fb22, j in enumerate(index2):
-            cells[(fb11, fb22)] = row[j]
-    return MetricSurface(cells=cells)
+    results = tuple(tuple(_cell(compose_bounds(params, t1, t2).caps, base) for t2 in terms2)
+                    for t1 in terms1)
+    return MetricSurface(results, tuple(index1), tuple(index2))

@@ -98,6 +98,19 @@ def _load(document, key: str) -> tuple:
     return ChannelParams(**exponents), document[key]
 
 
+def _entry(row: dict, name: str, kind: type):
+    """row[name], which must be exactly a ``kind`` (so a bool is not an int)."""
+    value = row[name]
+    if type(value) is not kind:
+        raise ValueError(f"{name} is {value!r}, not a {kind.__name__}")
+    return value
+
+
+def _rational(row: dict, name: str) -> Fraction:
+    """The "p/q" text row[name] as a Fraction."""
+    return Fraction(_entry(row, name, str))
+
+
 # The forms of a region document's bound rows: the caps, then non-negativity.
 _ROW_FORMS = CANONICAL_FORMS + ((-1, 0), (0, -1))
 
@@ -105,8 +118,8 @@ _ROW_FORMS = CANONICAL_FORMS + ((-1, 0), (0, -1))
 def _bound_set(rows: list) -> BoundSet:
     """The bound set a document's bound rows spell out; ValueError for any other rows."""
     for row in rows:
-        if any(type(row[k]) is not int for k in ("r1_coeff", "r2_coeff", "rhs")):
-            raise ValueError(f"bound row {row} has a non-integer coefficient or rhs")
+        for name in ("r1_coeff", "r2_coeff", "rhs"):
+            _entry(row, name, int)
     forms = tuple((row["r1_coeff"], row["r2_coeff"]) for row in rows)
     if forms != _ROW_FORMS:
         raise ValueError(f"bound rows have forms {forms}, expected {_ROW_FORMS}")
@@ -127,10 +140,10 @@ def parse_region_document(document):
     """
     params, region = _load(document, "region")
     try:
-        vertices = tuple(RatePoint(Fraction(row["r1"]), Fraction(row["r2"]))
+        vertices = tuple(RatePoint(_rational(row, "r1"), _rational(row, "r2"))
                          for row in region["vertices"])
         bounds = _bound_set(region["bounds"])
-    except (KeyError, TypeError) as exc:  # an entry missing or of the wrong type
+    except (KeyError, TypeError, ZeroDivisionError) as exc:  # missing, wrong type, "p/0"
         raise ValueError(f"malformed region entry: {exc!r}") from exc
     return params, bounds, vertices
 
@@ -174,14 +187,10 @@ def metrics_document(params: ChannelParams, result: MetricsResult, thresholds, u
 
 
 def _surface_rows(surface: MetricSurface):
-    # cells with the same caps share one MetricsResult: format each once,
-    # keyed by identity; rows keep the cells' fb11-major, fb22-minor order
-    fields, rows = {}, []
-    for (fb11, fb22), result in surface.cells.items():
-        if id(result) not in fields:
-            fields[id(result)] = _metrics_fields(result)
-        rows.append({"fb11": fb11, "fb22": fb22, **fields[id(result)]})
-    return rows
+    # format each entry of the term-pair table once; rows run fb11-major, fb22-minor
+    table = [[_metrics_fields(result) for result in row] for row in surface.results]
+    return [{"fb11": fb11, "fb22": fb22, **table[i][j]}
+            for fb11, i in enumerate(surface.index1) for fb22, j in enumerate(surface.index2)]
 
 
 def surface_document(params: ChannelParams, surface: MetricSurface) -> dict:
@@ -197,14 +206,12 @@ def parse_surface_document(document):
     params, surface = _load(document, "surface")
     try:
         cells = {
-            (row["fb11"], row["fb22"]): MetricsResult(
-                delta1=Fraction(row["delta1"]),
-                delta2=Fraction(row["delta2"]),
-                sigma=Fraction(row["sigma"]),
+            (_entry(row, "fb11", int), _entry(row, "fb22", int)): MetricsResult(
+                *(_rational(row, name) for name in ("delta1", "delta2", "sigma"))
             )
             for row in surface["cells"]
         }
-    except (KeyError, TypeError) as exc:  # an entry missing or of the wrong type
+    except (KeyError, TypeError, ZeroDivisionError) as exc:  # missing, wrong type, "p/0"
         raise ValueError(f"malformed surface entry: {exc!r}") from exc
     return params, cells
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -17,7 +18,7 @@ from ldic import (
     draw_messages,
     run_scheme,
 )
-from ldic.cli import main
+from ldic.cli import build_parser, main
 from ldic.output import parse_region_document
 
 FIG_FLAGS = ["--n11", "10", "--n22", "10", "--n12", "3", "--n21", "8"]
@@ -227,6 +228,8 @@ def test_usage_errors_exit_with_two(capsys):
         ["region", "--n11", "1", "--n22", "0", "--n12", "0"],  # missing flag
         ["simulate", "--n11", "1", "--n22", "1", "--n12", "0", "--n21", "0",
          "--scheme", "unknown"],
+        ["sweep", "--n11", "1", "--n22", "1", "--n12", "1", "--n21", "1", "--fb11", "1"],
+        ["sweep", "--n11", "1", "--n22", "1", "--n12", "1", "--n21", "1", "--fb22", "0"],
         ["bogus"],
     ):
         with pytest.raises(SystemExit) as excinfo:
@@ -240,10 +243,28 @@ def test_domain_errors_exit_with_two(capsys):
         capsys, "simulate", "--n11", "0", "--n22", "0", "--n12", "0", "--n21", "0",
     )
     assert code == 2 and out == "" and "signal space" in err
-    code, _, err = run_cli(
-        capsys, "region", "--n11", "10001", "--n22", "0", "--n12", "0", "--n21", "0",
-    )
-    assert code == 2 and err.startswith("error:")
+    for command in ("region", "metrics", "sweep", "simulate"):
+        code, out, err = run_cli(
+            capsys, command, "--n11", "10001", "--n22", "0", "--n12", "0", "--n21", "0",
+        )
+        assert (code, out) == (2, ""), command
+        assert err.startswith("error:"), command
+
+
+def test_subcommand_usage_lines(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one usage line each
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    channel = "[-h] --n11 N11 --n22 N22 --n12 N12 --n21 N21"
+    feedback = "[--fb11 FB11] [--fb22 FB22]"
+    assert {name: sub.format_usage() for name, sub in commands.choices.items()} == {
+        "region": f"usage: ldic region {channel} {feedback} [--format {{json,csv}}]\n",
+        "metrics": f"usage: ldic metrics {channel} {feedback}\n",
+        "sweep": f"usage: ldic sweep {channel} [--format {{json,csv}}]\n",
+        "simulate": f"usage: ldic simulate {channel} {feedback} [--delay DELAY] "
+                    "[--block-length BLOCK_LENGTH] [--scheme {echo,point-to-point}] "
+                    "[--seed SEED] [--trace]\n",
+    }
 
 
 def readme_commands():

@@ -120,9 +120,22 @@ def _surface_doc():
     return surface_document(params, sweep(params))
 
 
-# Per payload, (list, field) of a row: one field every row needs, one rational.
+# Per payload, (list, field) of a row that every row needs.
 _NEEDED = {"region": ("bounds", "source"), "surface": ("cells", "sigma")}
-_RATIONAL = {"region": ("vertices", "r1"), "surface": ("cells", "delta1")}
+# Per damage and payload, (list, field, value): a row entry set to a value
+# of the wrong JSON type or one that reads as no rational.
+_BAD_ENTRY = {
+    "null rational": {"region": ("vertices", "r1", None), "surface": ("cells", "delta1", None)},
+    "number for a rational": {"region": ("vertices", "r2", 2.5),
+                              "surface": ("cells", "delta1", 0.5)},
+    "bool for a rational": {"region": ("vertices", "r1", True),
+                            "surface": ("cells", "sigma", True)},
+    "zero denominator": {"region": ("vertices", "r1", "1/0"),
+                         "surface": ("cells", "delta2", "1/0")},
+    "text for an integer": {"region": ("bounds", "rhs", "0"), "surface": ("cells", "fb11", "0")},
+    "bool for an integer": {"region": ("bounds", "r1_coeff", True),
+                            "surface": ("cells", "fb22", True)},
+}
 
 
 @pytest.mark.parametrize("parse,make,key", [
@@ -131,7 +144,7 @@ _RATIONAL = {"region": ("vertices", "r1"), "surface": ("cells", "delta1")}
 ])
 @pytest.mark.parametrize("damage", [
     "extra params key", "missing params", "missing payload",
-    "not an object", "row without a needed field", "null rational",
+    "not an object", "row without a needed field", *_BAD_ENTRY,
 ])
 def test_parsers_refuse_malformed_documents_with_value_error(parse, make, key, damage):
     doc = make()
@@ -147,8 +160,8 @@ def test_parsers_refuse_malformed_documents_with_value_error(parse, make, key, d
         rows, field = _NEEDED[key]
         del doc[key][rows][0][field]
     else:
-        rows, field = _RATIONAL[key]
-        doc[key][rows][0][field] = None
+        rows, field, value = _BAD_ENTRY[damage][key]
+        doc[key][rows][0][field] = value
     with pytest.raises(ValueError):
         parse(doc)
 
