@@ -7,6 +7,9 @@ Each channel flag is declared once, in ``_CHANNEL_FLAGS``. ``main`` builds
 the ChannelParams from them (an absent feedback flag reads 0) and hands it to
 the subcommand's handler, which returns a document dict or CSV text; ``main``
 alone turns a document into JSON and writes stdout.
+
+``json_text`` writes a document exactly as ``json.dumps(document, indent=2)``
+does, without the pure-Python encoder that an indent selects.
 """
 
 from __future__ import annotations
@@ -120,13 +123,56 @@ _COMMANDS = {
 }
 
 
+_quote = json.encoder.encode_basestring_ascii  # the C escaper json.dumps uses
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _write_json(value, out: list, indent: str) -> None:
+    """Append the pieces of json.dumps(value, indent=2) to out, nested under indent."""
+    kind = type(value)
+    if kind is str:
+        out.append(_quote(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is dict and value:
+        inner, sep = indent + "  ", "{"
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"a document key must be a str, not a {type(key).__name__}")
+            out.append(sep + inner + _quote(key) + ": ")
+            _write_json(item, out, inner)
+            sep = ","
+        out.append(indent + "}")
+    elif kind is list and value:
+        inner, sep = indent + "  ", "["
+        for item in value:
+            out.append(sep + inner)
+            _write_json(item, out, inner)
+            sep = ","
+        out.append(indent + "]")
+    elif kind is dict or kind is list:
+        out.append("{}" if kind is dict else "[]")
+    elif kind is bool or value is None:
+        out.append(_LITERALS[value])
+    else:
+        raise TypeError(f"a {kind.__name__} is not a document value")
+
+
+def json_text(document) -> str:
+    """json.dumps(document, indent=2), for dicts with str keys, lists, str, int, bool
+    and None; any other type raises TypeError."""
+    out = []
+    _write_json(document, out, "\n")
+    return "".join(out)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         params = ChannelParams(**{field: getattr(args, flag[2:], 0)
                                   for flag, field, _ in _CHANNEL_FLAGS})
         out = _COMMANDS[args.command](params, args)
-        text = out if isinstance(out, str) else json.dumps(out, indent=2) + "\n"
+        text = out if isinstance(out, str) else json_text(out) + "\n"
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

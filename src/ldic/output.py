@@ -13,7 +13,6 @@ dicts its JSON document embeds, and leaves the columns a row lacks empty.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from dataclasses import fields
@@ -34,7 +33,10 @@ def format_rational(value) -> str:
 
 
 def format_decimal(value) -> str:
-    scaled = round(Fraction(value) * 10**6)
+    value = value if isinstance(value, (int, Fraction)) else Fraction(value)
+    scaled, rest = divmod(value.numerator * 10**6, value.denominator)
+    if 2 * rest > value.denominator or (2 * rest == value.denominator and scaled % 2):
+        scaled += 1  # round half to even, as round() does
     sign = "-" if scaled < 0 else ""
     return f"{sign}{abs(scaled) // 10**6}.{abs(scaled) % 10**6:06d}"
 
@@ -154,11 +156,22 @@ REGION_CSV_COLUMNS = (
 
 
 def _csv(columns, rows) -> str:
+    """The rows under a header of columns; a column a row lacks, or a None, is empty.
+
+    No field is quoted, so one holding a comma, a quote or a line break raises
+    ValueError instead.
+    """
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, columns, restval="", lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buffer.getvalue()
+    buffer.write(",".join(columns) + "\n")
+    for row in rows:
+        buffer.write(",".join(["" if (v := row.get(c)) is None else str(v) for c in columns])
+                     + "\n")
+    text = buffer.getvalue()
+    lines = len(rows) + 1
+    if ('"' in text or "\r" in text or text.count("\n") != lines
+            or text.count(",") != lines * (len(columns) - 1)):
+        raise ValueError("a CSV field holds a comma, a quote or a line break")
+    return text
 
 
 def region_csv(poly: RatePolytope) -> str:

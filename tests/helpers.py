@@ -11,9 +11,12 @@ test into exact int64 arithmetic. The endpoint oracles give the regions at
 zero and at perfect feedback from published closed forms, without the
 formulas of `ldic.bounds`. The simulator oracle keeps every signal as a
 tuple of bits, level 0 first, and moves it bit by bit; the message oracle
-draws one `randrange(2)` per bit. Neither imports `ldic.sim`.
+draws one `randrange(2)` per bit. Neither imports `ldic.sim`. The CSV
+oracle writes rows through `csv.DictWriter`.
 """
 
+import csv
+import io
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -326,3 +329,12 @@ def reference_scheme(name, params, block_length):
     else:
         raise ValueError(name)
     return lengths, tuple(map(encoder, rates)), tuple(map(decoder, rates))
+
+
+def reference_csv(columns, rows):
+    """CSV text of rows through csv.DictWriter, a column a row lacks left empty."""
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, columns, restval="", lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buffer.getvalue()

@@ -2,12 +2,19 @@ import argparse
 import csv
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import ldic
+from helpers import reference_csv
+from ldic import cli, output
 from ldic import (
     SCHEMES,
     ChannelParams,
@@ -18,7 +25,7 @@ from ldic import (
     draw_messages,
     run_scheme,
 )
-from ldic.cli import build_parser, main
+from ldic.cli import build_parser, json_text, main
 from ldic.output import parse_region_document
 
 FIG_FLAGS = ["--n11", "10", "--n22", "10", "--n12", "3", "--n21", "8"]
@@ -282,3 +289,82 @@ def test_readme_command_examples_exit_zero(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, ""), argv
         assert out, argv
+
+
+def _formats(argv):
+    """argv, and for a subcommand that has --format, argv in the other format too."""
+    if argv[0] not in ("region", "sweep"):
+        return [argv]
+    if "--format" in argv:
+        return [argv, argv[:argv.index("--format")]]
+    return [argv, [*argv, "--format", "csv"]]
+
+
+@pytest.mark.parametrize("argv", [
+    *(variant for argv in readme_commands() for variant in _formats(argv)),
+    ["sweep", "--n11", "60", "--n22", "58", "--n12", "30", "--n21", "61"],
+    ["simulate", "--n11", "9", "--n22", "8", "--n12", "5", "--n21", "7",
+     "--fb11", "9", "--fb22", "4", "--block-length", "40", "--seed", "3", "--trace"],
+], ids=shlex.join)
+def test_output_bytes_match_json_dumps_and_dict_writer(capsys, monkeypatch, argv):
+    written = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "json_text", lambda document: json.dumps(document, indent=2))
+    monkeypatch.setattr(output, "_csv", reference_csv)
+    assert run_cli(capsys, *argv) == written
+
+
+_TEXT = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800\udfffé😀'),
+                max_size=8)
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(-2**300, 2**300)
+           | _TEXT)
+_TREES = st.recursive(_LEAVES, lambda children: st.lists(children, max_size=4)
+                      | st.dictionaries(_TEXT, children, max_size=4), max_leaves=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TREES)
+def test_json_text_is_json_dumps_with_indent_2(document):
+    assert json_text(document) == json.dumps(document, indent=2)
+
+
+@pytest.mark.parametrize("document", [
+    1.5, float("nan"), (1, 2), {1}, frozenset(), b"01", {1: "a"}, {None: 1}, {True: 1},
+    [0, {"a": [1, 2.0]}], {"a": {"b": (1,)}}, {"a": [{(1, 2): 3}]},
+], ids=repr)
+def test_json_text_refuses_other_types(document):
+    with pytest.raises(TypeError):
+        json_text(document)
+
+
+# Requests of every kind, a usage error among them, answered in one process.
+_MIX = [
+    ["region", *FIG_FLAGS, "--fb11", "3"],
+    ["sweep", "--n11", "4", "--n22", "3", "--n12", "2", "--n21", "1"],
+    ["sweep", "--n11", "4", "--n22", "3", "--n12", "2"],  # --n21 missing
+    ["metrics", *FIG_FLAGS, "--fb11", "9", "--fb22", "4"],
+    ["simulate", "--n11", "3", "--n22", "3", "--n12", "2", "--n21", "1",
+     "--fb11", "3", "--fb22", "2", "--scheme", "echo", "--block-length", "4", "--trace"],
+    ["region", *FIG_FLAGS, "--format", "csv"],
+]
+
+
+def test_one_process_answers_a_mix_as_fresh_processes_do(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one usage line, in and out of process
+    env = {**os.environ, "PYTHONPATH": str(Path(ldic.__file__).parents[1])}
+    answers = []
+    for argv in _MIX:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        answers.append((code, captured.out, captured.err))
+    for argv, answer in zip(_MIX, answers):
+        fresh = subprocess.run([sys.executable, "-m", "ldic.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert answer == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    code, out, err = answers[2]
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: ldic sweep [-h] --n11 N11 --n22 N22 --n12 N12 --n21 N21 "
+                          "[--format {json,csv}]\n")
+    assert [code for code, _, _ in answers] == [0, 0, 2, 0, 0, 0]

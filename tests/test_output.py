@@ -4,15 +4,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import reference_csv
 from ldic import ChannelParams, build_bounds, capacity_region, sweep
 from ldic.params import MAX_EXPONENT
 from ldic.output import (
+    REGION_CSV_COLUMNS,
+    SWEEP_CSV_COLUMNS,
+    _csv,
     format_decimal,
     format_rational,
     parse_region_document,
     parse_surface_document,
+    region_csv,
     region_document,
     surface_document,
+    sweep_csv,
 )
 
 
@@ -29,6 +35,30 @@ def test_decimal_field_is_six_places():
     assert format_decimal(Fraction(2, 3)) == "0.666667"
     assert format_decimal(0) == "0.000000"
     assert format_decimal(Fraction(-3, 2)) == "-1.500000"
+
+
+def _reference_decimal(value):
+    scaled = round(Fraction(value) * 10**6)
+    sign = "-" if scaled < 0 else ""
+    return f"{sign}{abs(scaled) // 10**6}.{abs(scaled) % 10**6:06d}"
+
+
+# k/(2*10**6) for odd k lies exactly halfway between two printed decimals.
+_TIES = st.integers(-10**9, 10**9).map(lambda k: Fraction(2 * k + 1, 2 * 10**6))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.fractions(), st.fractions(max_denominator=10**7), _TIES,
+                 st.integers(), st.integers(-10, 10)))
+def test_format_decimal_rounds_half_to_even_like_round(value):
+    assert format_decimal(value) == _reference_decimal(value)
+
+
+def test_format_decimal_ties_go_to_the_even_neighbour():
+    assert format_decimal(Fraction(1, 2 * 10**6)) == "0.000000"
+    assert format_decimal(Fraction(3, 2 * 10**6)) == "0.000002"
+    assert format_decimal(Fraction(-1, 2 * 10**6)) == "0.000000"
+    assert format_decimal(Fraction(-3, 2 * 10**6)) == "-0.000002"
 
 
 def test_parse_rational_inverts_format():
@@ -175,3 +205,49 @@ def test_parse_surface_document_inverts_surface_document(exponents, as_text):
     if as_text:
         document = json.dumps(document, indent=2)
     assert parse_surface_document(document) == (params, surface.cells)
+
+
+_PLAIN_TEXT = st.text(st.characters(exclude_characters=',"\r\n'), max_size=8)
+
+
+# Two columns or more: csv quotes the lone empty field of a one-column row.
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_PLAIN_TEXT, min_size=2, max_size=5, unique=True).flatmap(
+    lambda columns: st.tuples(st.just(columns), st.lists(st.dictionaries(
+        st.sampled_from(columns), st.none() | st.integers() | st.booleans() | _PLAIN_TEXT),
+        max_size=5))))
+def test_csv_matches_the_dict_writer_oracle(table):
+    columns, rows = table
+    assert _csv(columns, rows) == reference_csv(columns, rows)
+
+
+@pytest.mark.parametrize("field", ["a,b", 'say "hi"', "a\rb", "a\nb", "\n"])
+def test_csv_refuses_a_field_that_needs_quoting(field):
+    with pytest.raises(ValueError):
+        _csv(("x", "y"), [{"x": 1, "y": field}])
+
+
+def _flat_region_rows(document):
+    region = document["region"]
+    return ([{"kind": "bound", **row} for row in region["bounds"]]
+            + [{"kind": "vertex", **row} for row in region["vertices"]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[st.integers(0, 9)] * 6))
+def test_csv_writers_match_the_dict_writer_oracle(exponents):
+    params = ChannelParams(*exponents)
+    poly = capacity_region(params)
+    rows = _flat_region_rows(region_document(params, poly))
+    assert region_csv(poly) == reference_csv(REGION_CSV_COLUMNS, rows)
+    surface = sweep(params)
+    cells = surface_document(params, surface)["surface"]["cells"]
+    assert sweep_csv(surface) == reference_csv(SWEEP_CSV_COLUMNS, cells)
+
+
+def test_sweep_csv_over_161_k_cells_matches_the_dict_writer_oracle():
+    params = ChannelParams(400, 396, 200, 401)
+    surface = sweep(params)
+    cells = surface_document(params, surface)["surface"]["cells"]
+    assert len(cells) == 161_202
+    assert sweep_csv(surface) == reference_csv(SWEEP_CSV_COLUMNS, cells)
