@@ -174,13 +174,6 @@ class Constraint:
     rhs: int
     source: Optional[Bound] = None
 
-    def __post_init__(self):
-        if self.rhs < 0:
-            raise ValueError(f"constraint right-hand side must be non-negative, got {self.rhs}")
-
-    def holds(self, r1, r2) -> bool:
-        return self.r1_coeff * r1 + self.r2_coeff * r2 <= self.rhs
-
 
 # Coefficient pairs of the five canonical upper bounds, in fixed order.
 CANONICAL_FORMS = ((1, 0), (0, 1), (1, 1), (2, 1), (1, 2))

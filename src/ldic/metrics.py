@@ -11,8 +11,9 @@ MetricsResult is built.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -64,19 +65,42 @@ class MetricSurface:
     distinct terms (``bounds.link_profile``), and ``index1[fb11]``,
     ``index2[fb22]`` are the positions of each level's terms, so the cell
     (fb11, fb22) is ``results[index1[fb11]][index2[fb22]]``: cells with the
-    same pair of terms share one MetricsResult. ``cells`` maps (fb11, fb22)
-    to its MetricsResult, fb11-major and fb22-minor, both ascending; it is
-    built on first use and cached.
+    same pair of terms share one MetricsResult. ``cells`` is a read-only
+    mapping from (fb11, fb22) to its MetricsResult over that table, iterated
+    fb11-major and fb22-minor, both ascending; it stores no cell.
     """
 
     results: tuple
     index1: tuple
     index2: tuple
 
-    @cached_property
-    def cells(self) -> dict:
-        return {(fb11, fb22): self.results[i][j]
-                for fb11, i in enumerate(self.index1) for fb22, j in enumerate(self.index2)}
+    @property
+    def cells(self) -> Mapping:
+        return _Cells(self)
+
+
+class _Cells(Mapping):
+    """The (fb11, fb22) -> MetricsResult view of a MetricSurface; a read is two index lookups."""
+
+    def __init__(self, surface: MetricSurface):
+        self._surface = surface
+
+    def __getitem__(self, key):
+        s = self._surface
+        try:
+            fb11, fb22 = key
+            if fb11 >= 0 and fb22 >= 0:
+                return s.results[s.index1[fb11]][s.index2[fb22]]
+        except (TypeError, ValueError, IndexError):  # not a pair of ints, or past the grid
+            pass
+        raise KeyError(key)
+
+    def __iter__(self):
+        return itertools.product(range(len(self._surface.index1)),
+                                 range(len(self._surface.index2)))
+
+    def __len__(self):
+        return len(self._surface.index1) * len(self._surface.index2)
 
 
 def _base(params: ChannelParams) -> tuple:

@@ -2,7 +2,8 @@
 
 Every rational value is serialized twice: an exact lowest-terms
 "numerator/denominator" string, and a 6-decimal approximation in a parallel
-``*_decimal`` field for spreadsheet convenience. Messages and estimates are
+``*_decimal`` field for spreadsheet convenience; the parsers require the
+two to agree. Messages and estimates are
 already 0/1 text and are embedded as they are; the simulator's int vectors
 (trace fields) become q-digit 0/1 strings, the most significant level first.
 Golden files therefore never contain binary floating point.
@@ -14,6 +15,7 @@ dicts its JSON document embeds, and leaves the columns a row lacks empty.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 from dataclasses import fields
 from fractions import Fraction
@@ -109,8 +111,12 @@ def _entry(row: dict, name: str, kind: type):
 
 
 def _rational(row: dict, name: str) -> Fraction:
-    """The "p/q" text row[name] as a Fraction."""
-    return Fraction(_entry(row, name, str))
+    """The "p/q" text row[name] as a Fraction; row[name + "_decimal"] must be its decimal text."""
+    value = Fraction(_entry(row, name, str))
+    decimal = format_decimal(value)
+    if row[f"{name}_decimal"] != decimal:
+        raise ValueError(f"{name}_decimal is {row[f'{name}_decimal']!r}, not {decimal!r}")
+    return value
 
 
 # The forms of a region document's bound rows: the caps, then non-negativity.
@@ -213,19 +219,26 @@ def surface_document(params: ChannelParams, surface: MetricSurface) -> dict:
 def parse_surface_document(document):
     """Exact inverse of surface_document; accepts a dict or JSON text.
 
-    Returns (params, cells) with cells mapping (fb11, fb22) to MetricsResult;
-    a malformed document raises ValueError.
+    Returns (params, cells) with cells mapping (fb11, fb22) to MetricsResult.
+    The cells must be the (S1+1) x (S2+1) saturation grid of the params, each
+    pair once, fb11-major and fb22-minor; a document whose cells are not, like
+    any other malformed document, raises ValueError.
     """
     params, surface = _load(document, "surface")
     try:
+        rows = surface["cells"]
         cells = {
             (_entry(row, "fb11", int), _entry(row, "fb22", int)): MetricsResult(
                 *(_rational(row, name) for name in ("delta1", "delta2", "sigma"))
             )
-            for row in surface["cells"]
+            for row in rows
         }
     except (KeyError, TypeError, ZeroDivisionError) as exc:  # missing, wrong type, "p/0"
         raise ValueError(f"malformed surface entry: {exc!r}") from exc
+    n1, n2 = params.feedback_saturation(1) + 1, params.feedback_saturation(2) + 1
+    # the count is checked first, so a short document never builds a large grid
+    if len(rows) != n1 * n2 or list(cells) != list(itertools.product(range(n1), range(n2))):
+        raise ValueError("surface cells are not the feedback grid, each pair once, fb11-major")
     return params, cells
 
 

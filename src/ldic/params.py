@@ -10,7 +10,6 @@ feedback link back to its own transmitter.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 # Cap on every level count. Keeps all derived bound arithmetic far inside
 # native integer ranges for any downstream consumer or file format.
@@ -79,54 +78,3 @@ def derive_variant(params: ChannelParams, kind: str) -> ChannelParams:
     if kind == "perfect_feedback":
         return replace(params, fb11=sat1, fb22=sat2)
     raise ValueError(f"unknown variant kind {kind!r}; expected one of {VARIANT_KINDS}")
-
-
-@dataclass(frozen=True)
-class GaussianParams:
-    """Linear-scale power ratios of the additive-noise channel being modeled.
-
-    All six ratios must be >= 1 so the derived level counts are non-negative.
-    Values may be int, float, or Fraction; conversion to level counts is exact.
-    """
-
-    snr_fwd1: float
-    snr_fwd2: float
-    inr_12: float
-    inr_21: float
-    snr_fb1: float
-    snr_fb2: float
-
-    def __post_init__(self):
-        for name in ("snr_fwd1", "snr_fwd2", "inr_12", "inr_21", "snr_fb1", "snr_fb2"):
-            value = getattr(self, name)
-            try:
-                exact = Fraction(value)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"{name} must be a finite number, got {value!r}") from exc
-            if exact < 1:
-                raise ValueError(f"{name} must be >= 1, got {value!r}")
-
-
-def _floor_half_log2(ratio) -> int:
-    """Exact floor of half the base-2 logarithm of a ratio >= 1.
-
-    Works on the integer numerator/denominator pair, so float inputs are
-    resolved through their exact binary value rather than through log().
-    """
-    num, den = Fraction(ratio).as_integer_ratio()
-    log2_floor = num.bit_length() - den.bit_length()
-    if (den << log2_floor) > num:
-        log2_floor -= 1
-    return log2_floor // 2
-
-
-def gaussian_to_ld(gaussian: GaussianParams) -> ChannelParams:
-    """Map power ratios to the deterministic model's level counts."""
-    return ChannelParams(
-        fwd11=_floor_half_log2(gaussian.snr_fwd1),
-        fwd22=_floor_half_log2(gaussian.snr_fwd2),
-        inr12=_floor_half_log2(gaussian.inr_12),
-        inr21=_floor_half_log2(gaussian.inr_21),
-        fb11=_floor_half_log2(gaussian.snr_fb1),
-        fb22=_floor_half_log2(gaussian.snr_fb2),
-    )

@@ -137,14 +137,6 @@ class RatePolytope:
         """The vertices as exact RatePoints, in the order of ``scaled``."""
         return tuple(RatePoint(Fraction(x, SCALE), Fraction(y, SCALE)) for x, y in self.scaled)
 
-    def contains(self, point: RatePoint) -> bool:
-        """Exact membership test, boundary inclusive."""
-        return all(c.holds(point.r1, point.r2) for c in self.bounds.constraints)
-
-    def subset_of(self, other: "RatePolytope") -> bool:
-        """True iff this region lies inside the other (vertex check; both convex)."""
-        return all(other.contains(v) for v in self.vertices)
-
     def equals_region(self, other: "RatePolytope") -> bool:
         """True iff the two regions contain the same points.
 

@@ -3,16 +3,17 @@
 Everything here recomputes results through a different route than the
 library: slice caps straight from raw coefficient triples or from edge
 crossings of the vertex list, membership by vectorized integer-grid
-evaluation, and polygon membership from the vertex list alone. The
-threshold and vertex oracles take the direct route: a linear scan over
-feedback levels, and a pairwise line scan in Fraction arithmetic. Grids
-use step 1/6 (or 1/12), so scaling coordinates by 6 (or 12) turns every
-test into exact int64 arithmetic. The endpoint oracles give the regions at
-zero and at perfect feedback from published closed forms, without the
-formulas of `ldic.bounds`. The simulator oracle keeps every signal as a
-tuple of bits, level 0 first, and moves it bit by bit; the message oracle
-draws one `randrange(2)` per bit. Neither imports `ldic.sim`. The CSV
-oracle writes rows through `csv.DictWriter`.
+evaluation or by exact evaluation of the raw inequalities, and polygon
+membership from the vertex list alone. The threshold and vertex oracles
+take the direct route: a linear scan over feedback levels, and a pairwise
+line scan in Fraction arithmetic. Grids use step 1/6 (or 1/12), so scaling
+coordinates by 6 (or 12) turns every test into exact int64 arithmetic. The
+endpoint oracles give the regions at zero and at perfect feedback from
+published closed forms, without the formulas of `ldic.bounds`. The
+simulator oracle keeps every signal as a tuple of bits, level 0 first, and
+moves it bit by bit; the message oracle draws one `randrange(2)` per bit.
+Neither imports `ldic.sim`. The CSV oracle writes rows through
+`csv.DictWriter`.
 """
 
 import csv
@@ -30,6 +31,16 @@ GRID_SCALE = 6  # step 1/6
 
 def raw_constraints(bound_set):
     return tuple((c.r1_coeff, c.r2_coeff, c.rhs) for c in bound_set.constraints)
+
+
+def contains(region, point):
+    """Exact membership of a rate pair, boundary inclusive, straight from the inequalities."""
+    return all(a * point.r1 + b * point.r2 <= rhs for a, b, rhs in raw_constraints(region.bounds))
+
+
+def subset_of(inner, outer):
+    """True iff one region lies inside the other: both are convex, so check inner's vertices."""
+    return all(contains(outer, v) for v in inner.vertices)
 
 
 def slice_cap(raw, axis, value):

@@ -34,6 +34,7 @@ from helpers import (
     polygon_mask,
     raw_constraints,
     scaled_grid,
+    subset_of,
 )
 
 
@@ -107,7 +108,7 @@ def test_criterion_07_reduction_properties_on_random_channels():
         # (b) perfect feedback contains every noisy-feedback region
         noisy = capacity_region(params)
         perfect = capacity_region(derive_variant(params, "perfect_feedback"))
-        assert noisy.subset_of(perfect)
+        assert subset_of(noisy, perfect)
 
         # (c) feedback above saturation changes nothing
         saturated = derive_variant(params, "perfect_feedback")

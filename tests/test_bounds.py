@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ldic import ChannelParams, RatePolytope, build_bounds, capacity_region, derive_variant
 from ldic.bounds import (
-    Bound, BoundSet, Constraint, _link_terms, compose_bounds, evaluate_bound, link_profile,
+    Bound, BoundSet, _link_terms, compose_bounds, evaluate_bound, link_profile,
 )
 from ldic.params import MAX_EXPONENT
 
@@ -105,17 +105,6 @@ def test_bounds_symmetric_under_user_swap(params):
     swapped = params.swapped()
     for bound in Bound:
         assert evaluate_bound(params, bound) == evaluate_bound(swapped, _SWAP[bound])
-
-
-def test_constraint_rejects_negative_rhs():
-    with pytest.raises(ValueError):
-        Constraint(1, 0, -1)
-
-
-def test_constraint_holds_is_boundary_inclusive():
-    c = Constraint(1, 1, 5)
-    assert c.holds(2, 3)
-    assert not c.holds(3, 3)
 
 
 def test_bound_set_holds_five_non_negative_caps():

@@ -25,7 +25,9 @@ from ldic.bounds import BoundSet, link_profile
 from ldic.metrics import MetricsResult, ThresholdReport, delta, sigma
 from ldic.params import MAX_EXPONENT
 
-from helpers import delta_grid_oracle, linear_threshold, random_params, vertex_delta
+from helpers import (
+    delta_grid_oracle, linear_threshold, random_params, subset_of, vertex_delta,
+)
 
 FIXTURES = {
     "strong_forward": ChannelParams(20, 15, 12, 13, 15, 14),
@@ -144,7 +146,7 @@ def test_regions_are_nested_in_each_feedback_level(exponents, other_level):
             for level in range(base.feedback_saturation(link) + 2)
         ]
         for lower, upper in zip(regions, regions[1:]):
-            assert lower.subset_of(upper)
+            assert subset_of(lower, upper)
 
 
 @pytest.mark.parametrize(
@@ -210,6 +212,24 @@ def test_sweep_grid_shape_and_edges():
     }
     zero = surface.cells[(0, 0)]
     assert (zero.delta1, zero.delta2, zero.sigma) == (0, 0, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(*[st.integers(0, 8)] * 4))
+def test_cells_are_a_read_only_view_of_the_dense_grid(exponents):
+    surface = sweep(ChannelParams(*exponents))
+    dense = {(fb11, fb22): surface.results[i][j]
+             for fb11, i in enumerate(surface.index1) for fb22, j in enumerate(surface.index2)}
+    cells = surface.cells
+    assert list(cells.items()) == list(dense.items())  # fb11-major, fb22-minor
+    assert len(cells) == len(dense) and cells == dense
+    s1, s2 = len(surface.index1), len(surface.index2)
+    for key in [(-1, 0), (0, -1), (s1, 0), (0, s2), (0,), (0, 0, 0), 0, "ab", (0.5, 0)]:
+        assert key not in cells
+        with pytest.raises(KeyError):
+            cells[key]
+    with pytest.raises(TypeError):
+        cells[(0, 0)] = dense[(0, 0)]
 
 
 def test_sweep_reproduces_the_pointwise_metrics():
@@ -395,7 +415,7 @@ def test_perfect_feedback_region_dominates(f1, f2, i12, i21, b1, b2):
     params = ChannelParams(f1, f2, i12, i21, b1, b2)
     noisy = capacity_region(params)
     perfect = capacity_region(derive_variant(params, "perfect_feedback"))
-    assert noisy.subset_of(perfect)
+    assert subset_of(noisy, perfect)
 
 
 def largest_sum(poly):

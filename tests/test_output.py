@@ -165,6 +165,18 @@ _BAD_ENTRY = {
     "text for an integer": {"region": ("bounds", "rhs", "0"), "surface": ("cells", "fb11", "0")},
     "bool for an integer": {"region": ("bounds", "r1_coeff", True),
                             "surface": ("cells", "fb22", True)},
+    "decimal of another value": {"region": ("vertices", "r1_decimal", "9.999999"),
+                                 "surface": ("cells", "delta1_decimal", "9.999999")},
+    "decimal in other text": {"region": ("vertices", "r2_decimal", "0.0"),
+                              "surface": ("cells", "sigma_decimal", "0.0")},
+}
+# Per payload, the row list whose rows must come in one fixed order, each once,
+# and per damage, that list rebuilt from its rows.
+_ORDERED = {"region": "bounds", "surface": "cells"}
+_BAD_ORDER = {
+    "part of the rows": lambda rows: rows[:3],
+    "a repeated row": lambda rows: rows + rows[:1],
+    "rows out of order": lambda rows: [rows[1], rows[0], *rows[2:]],
 }
 
 
@@ -174,7 +186,7 @@ _BAD_ENTRY = {
 ])
 @pytest.mark.parametrize("damage", [
     "extra params key", "missing params", "missing payload",
-    "not an object", "row without a needed field", *_BAD_ENTRY,
+    "not an object", "row without a needed field", *_BAD_ENTRY, *_BAD_ORDER,
 ])
 def test_parsers_refuse_malformed_documents_with_value_error(parse, make, key, damage):
     doc = make()
@@ -189,6 +201,9 @@ def test_parsers_refuse_malformed_documents_with_value_error(parse, make, key, d
     elif damage == "row without a needed field":
         rows, field = _NEEDED[key]
         del doc[key][rows][0][field]
+    elif damage in _BAD_ORDER:
+        rows = _ORDERED[key]
+        doc[key][rows] = _BAD_ORDER[damage](doc[key][rows])
     else:
         rows, field, value = _BAD_ENTRY[damage][key]
         doc[key][rows][0][field] = value

@@ -1,10 +1,8 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
 from ldic import ChannelParams, derive_variant
-from ldic.params import MAX_EXPONENT, GaussianParams, gaussian_to_ld
+from ldic.params import MAX_EXPONENT
 
 exponents = st.integers(min_value=0, max_value=40)
 
@@ -61,32 +59,3 @@ def test_derive_variant_rejects_unknown_kind():
     with pytest.raises(ValueError):
         derive_variant(ChannelParams(1, 1, 0, 0), "half_feedback")
 
-
-def test_gaussian_requires_ratios_of_at_least_one():
-    with pytest.raises(ValueError):
-        GaussianParams(1, 1, 1, 1, 1, 0.5)
-    with pytest.raises(ValueError):
-        GaussianParams("hello", 1, 1, 1, 1, 1)
-
-
-def test_gaussian_unit_ratios_map_to_zero_exponents():
-    g = GaussianParams(1, 1, 1, 1, 1, 1)
-    assert gaussian_to_ld(g) == ChannelParams(0, 0, 0, 0, 0, 0)
-
-
-@pytest.mark.parametrize("power,expected", [(40, 20), (41, 20), (42, 21), (1, 0), (0, 0)])
-def test_gaussian_exponent_is_half_log_floor(power, expected):
-    g = GaussianParams(2**power, 1, 1, 1, 1, 1)
-    assert gaussian_to_ld(g).fwd11 == expected
-
-
-def test_gaussian_field_mapping():
-    g = GaussianParams(4**3, 4**5, 4**2, 4**7, 4**1, 4**6)
-    assert gaussian_to_ld(g) == ChannelParams(3, 5, 2, 7, 1, 6)
-
-
-@given(st.fractions(min_value=1, max_value=10**12))
-def test_gaussian_exponent_brackets_the_ratio(ratio):
-    g = GaussianParams(ratio, 1, 1, 1, 1, 1)
-    e = gaussian_to_ld(g).fwd11
-    assert Fraction(4) ** e <= ratio < Fraction(4) ** (e + 1)
