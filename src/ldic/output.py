@@ -1,32 +1,69 @@
 """Machine-readable document builders and their inverse parsers.
 
-Every rational value is serialized twice: an exact lowest-terms
-"numerator/denominator" string, and a 6-decimal approximation in a parallel
-``*_decimal`` field for spreadsheet convenience; the parsers require the
-two to agree. Messages and estimates are
-already 0/1 text and are embedded as they are; the simulator's int vectors
-(trace fields) become q-digit 0/1 strings, the most significant level first.
-Golden files therefore never contain binary floating point.
+Every row type is declared once, as a table of (field, kind) pairs: a
+channel's params, a region's bound and vertex rows, the metrics and their
+per-link thresholds, a surface cell, a session header and a trace step. A
+kind is the tuple of Python types its JSON value may have (``_INT``,
+``_OPT_INT``, ``_STR``, ``_OPT_STR``, ``_BOOL``, ``_LIST``), or
+``_RATIONAL``. The one row writer ``_row``, the CSV headers and the one
+strict row reader ``_read_row`` all read these tables, and no other code
+here names a field.
+
+A rational is written twice: an exact lowest-terms "numerator/denominator"
+string in ``name``, and a 6-decimal approximation in ``name_decimal`` for
+spreadsheet convenience. The reader accepts exactly those two texts, so
+"10/2", "5", "+5/1" or a decimal that rounds another value are refused.
+Messages and estimates are already 0/1 text and are embedded as they are;
+the simulator's int vectors (trace fields) become q-digit 0/1 strings, the
+most significant level first. Golden files therefore never contain binary
+floating point.
 
 CSV rows are the JSON rows, flattened: each CSV writer takes the same row
 dicts its JSON document embeds, and leaves the columns a row lacks empty.
+
+Each ``parse_*_document`` inverts its builder: ``metrics_document`` and
+``session_document`` rebuild a document from the parsed tuple, and
+``region_document`` and ``surface_document`` from the polytope
+(``RatePolytope.from_bounds``) or surface (``sweep``) that the parsed bound
+set or params determine.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import json
 from dataclasses import fields
 from fractions import Fraction
 
-from .bounds import CANONICAL_FORMS, Bound, BoundSet
-from .metrics import MetricSurface, MetricsResult
+from .bounds import CANONICAL_FORMS, NONNEGATIVITY, Bound, BoundSet
+from .metrics import MetricSurface, MetricsResult, ThresholdReport
 from .params import ChannelParams
 from .polytope import RatePoint, RatePolytope
-from .sim import SessionResult, SimConfig
+from .sim import SessionResult, SimConfig, TraceStep, _bit_error_rate, _is_bits
 
 SCHEMA_VERSION = "1"
+
+_INT, _OPT_INT, _STR, _OPT_STR = (int,), (int, type(None)), (str,), (str, type(None))
+_BOOL, _LIST, _RATIONAL = (bool,), (list,), (Fraction,)
+
+_PARAMS = tuple((field.name, _INT) for field in fields(ChannelParams))
+_REGION = (("bounds", _LIST), ("vertices", _LIST))
+_BOUND = (("r1_coeff", _INT), ("r2_coeff", _INT), ("rhs", _INT), ("source", _OPT_STR))
+_VERTEX = (("r1", _RATIONAL), ("r2", _RATIONAL))
+_METRICS = (("delta1", _RATIONAL), ("delta2", _RATIONAL), ("sigma", _RATIONAL))
+_METRICS_PAYLOAD = _METRICS + (("thresholds", _LIST), ("feedback_useless", _BOOL))
+_THRESHOLD = (("link", _INT), ("threshold", _OPT_INT), ("saturation", _INT))
+_SURFACE = (("cells", _LIST),)
+_CELL = (("fb11", _INT), ("fb22", _INT)) + _METRICS
+_SESSION = (
+    ("scheme", _STR), ("delay", _INT), ("block_length", _INT), ("q", _INT), ("seed", _INT),
+    ("message_lengths", _LIST), ("rate1", _RATIONAL), ("rate2", _RATIONAL),
+    ("p1", _RATIONAL), ("p2", _RATIONAL), ("messages", _LIST), ("estimates", _LIST),
+)
+_TRACE = (("trace", _LIST),)  # optional, after the session row
+_STEP = tuple((name, _STR) for name in ("x1", "x2", "y1", "y2", "fb1", "fb2"))
 
 
 def format_rational(value) -> str:
@@ -43,49 +80,62 @@ def format_decimal(value) -> str:
     return f"{sign}{abs(scaled) // 10**6}.{abs(scaled) % 10**6:06d}"
 
 
-def _rational_fields(name: str, value) -> dict:
-    return {name: format_rational(value), f"{name}_decimal": format_decimal(value)}
+@functools.cache
+def _columns(table) -> tuple:
+    """The keys of a table's rows, in order: a rational adds ``name_decimal``."""
+    return tuple(key for name, kind in table
+                 for key in ((name, f"{name}_decimal") if kind is _RATIONAL else (name,)))
 
 
-_PARAMS_FIELDS = tuple(field.name for field in fields(ChannelParams))
+def _row(table, values) -> dict:
+    """The row of table holding values, given in table order."""
+    row = {}
+    for (name, kind), value in zip(table, values):
+        if kind is _RATIONAL:
+            row[name], row[f"{name}_decimal"] = format_rational(value), format_decimal(value)
+        else:
+            row[name] = value
+    return row
 
 
-def params_payload(params: ChannelParams) -> dict:
-    return {name: getattr(params, name) for name in _PARAMS_FIELDS}
+def _values(table, obj) -> list:
+    """The attributes of obj named as the table's fields, in table order."""
+    return [getattr(obj, name) for name, _ in table]
+
+
+def _read_row(table, row) -> list:
+    """The values, in table order, that ``_row(table, values)`` wrote into row.
+
+    Raises ValueError unless row holds exactly the table's keys, each value
+    exactly its kind's JSON type (so a bool is not an int), and each rational
+    exactly the two texts ``_row`` writes for it.
+    """
+    if type(row) is not dict or set(row) != set(_columns(table)):
+        raise ValueError(f"a row is not an object with the keys {list(_columns(table))}")
+    values = []
+    for name, kind in table:
+        value, types = row[name], _STR if kind is _RATIONAL else kind
+        if type(value) not in types:
+            raise ValueError(f"{name} is {value!r}, not a {'/'.join(t.__name__ for t in types)}")
+        if kind is _RATIONAL:
+            text, value = (value, row[f"{name}_decimal"]), Fraction(value)
+            if text != (format_rational(value), format_decimal(value)):
+                raise ValueError(f"{name}, {name}_decimal {text} are not the texts of one rational")
+        values.append(value)
+    return values
 
 
 def _document(params: ChannelParams, key: str, payload) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "params": params_payload(params), key: payload}
+    return {"schema_version": SCHEMA_VERSION, "params": _row(_PARAMS, _values(_PARAMS, params)),
+            key: payload}
 
 
-def _region_rows(poly: RatePolytope):
-    bounds = [
-        {
-            "r1_coeff": c.r1_coeff,
-            "r2_coeff": c.r2_coeff,
-            "rhs": c.rhs,
-            "source": c.source.value if c.source is not None else None,
-        }
-        for c in poly.bounds.constraints
-    ]
-    vertices = [
-        {**_rational_fields("r1", v.r1), **_rational_fields("r2", v.r2)}
-        for v in poly.vertices
-    ]
-    return bounds, vertices
-
-
-def region_document(params: ChannelParams, poly: RatePolytope) -> dict:
-    bounds, vertices = _region_rows(poly)
-    return _document(params, "region", {"bounds": bounds, "vertices": vertices})
-
-
-def _load(document, key: str) -> tuple:
-    """(params, payload) of a document given as a dict or JSON text.
+def _parse(document, key: str, read):
+    """read(params, payload) of a document given as a dict or JSON text.
 
     Raises ValueError for a document that is not a JSON object, another
-    schema version, a missing ``params`` or ``key`` entry, or params other
-    than the six exponents.
+    schema version, a missing ``params`` or ``key`` entry, params other than
+    the six exponents, or anything ``read`` refuses.
     """
     if isinstance(document, str):
         document = json.loads(document)
@@ -93,49 +143,32 @@ def _load(document, key: str) -> tuple:
         raise ValueError(f"document is a {type(document).__name__}, not an object")
     if document.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {document.get('schema_version')!r}")
-    for name in ("params", key):
-        if name not in document:
-            raise ValueError(f"document has no {name!r} entry")
-    exponents = document["params"]
-    if not isinstance(exponents, dict) or set(exponents) != set(_PARAMS_FIELDS):
-        raise ValueError(f"params {exponents!r} are not the fields {list(_PARAMS_FIELDS)}")
-    return ChannelParams(**exponents), document[key]
+    try:
+        return read(ChannelParams(*_read_row(_PARAMS, document["params"])), document[key])
+    except (KeyError, TypeError, ZeroDivisionError) as exc:  # missing, wrong type, "p/0"
+        raise ValueError(f"malformed {key} document: {exc!r}") from exc
 
 
-def _entry(row: dict, name: str, kind: type):
-    """row[name], which must be exactly a ``kind`` (so a bool is not an int)."""
-    value = row[name]
-    if type(value) is not kind:
-        raise ValueError(f"{name} is {value!r}, not a {kind.__name__}")
-    return value
+def _region_rows(poly: RatePolytope):
+    bounds = [_row(_BOUND, (c.r1_coeff, c.r2_coeff, c.rhs, getattr(c.source, "value", None)))
+              for c in poly.bounds.constraints]
+    return bounds, [_row(_VERTEX, v) for v in poly.vertices]
 
 
-def _rational(row: dict, name: str) -> Fraction:
-    """The "p/q" text row[name] as a Fraction; row[name + "_decimal"] must be its decimal text."""
-    value = Fraction(_entry(row, name, str))
-    decimal = format_decimal(value)
-    if row[f"{name}_decimal"] != decimal:
-        raise ValueError(f"{name}_decimal is {row[f'{name}_decimal']!r}, not {decimal!r}")
-    return value
+def region_document(params: ChannelParams, poly: RatePolytope) -> dict:
+    return _document(params, "region", _row(_REGION, _region_rows(poly)))
 
 
-# The forms of a region document's bound rows: the caps, then non-negativity.
-_ROW_FORMS = CANONICAL_FORMS + ((-1, 0), (0, -1))
-
-
-def _bound_set(rows: list) -> BoundSet:
-    """The bound set a document's bound rows spell out; ValueError for any other rows."""
-    for row in rows:
-        for name in ("r1_coeff", "r2_coeff", "rhs"):
-            _entry(row, name, int)
-    forms = tuple((row["r1_coeff"], row["r2_coeff"]) for row in rows)
-    if forms != _ROW_FORMS:
-        raise ValueError(f"bound rows have forms {forms}, expected {_ROW_FORMS}")
-    if any(row["rhs"] != 0 or row["source"] is not None for row in rows[5:]):
-        raise ValueError("a non-negativity row has a non-zero rhs or a source")
-    caps = rows[:5]
-    return BoundSet(tuple(row["rhs"] for row in caps),
-                    tuple(None if row["source"] is None else Bound(row["source"]) for row in caps))
+def _read_region(params: ChannelParams, region) -> tuple:
+    bounds, vertices = _read_row(_REGION, region)
+    rows = [_read_row(_BOUND, row) for row in bounds]
+    # the five caps in CANONICAL_FORMS order, then exactly the two non-negativity rows
+    if (tuple((a, b) for a, b, _, _ in rows[:5]) != CANONICAL_FORMS
+            or rows[5:] != [_values(_BOUND, c) for c in NONNEGATIVITY]):
+        raise ValueError("bound rows are not the five caps in order, then non-negativity")
+    bound_set = BoundSet(tuple(row[2] for row in rows[:5]),
+                         tuple(None if row[3] is None else Bound(row[3]) for row in rows[:5]))
+    return params, bound_set, tuple(RatePoint(*_read_row(_VERTEX, row)) for row in vertices)
 
 
 def parse_region_document(document):
@@ -146,19 +179,10 @@ def parse_region_document(document):
     integer coefficients and rhs; anything else, like any other malformed
     document, raises ValueError.
     """
-    params, region = _load(document, "region")
-    try:
-        vertices = tuple(RatePoint(_rational(row, "r1"), _rational(row, "r2"))
-                         for row in region["vertices"])
-        bounds = _bound_set(region["bounds"])
-    except (KeyError, TypeError, ZeroDivisionError) as exc:  # missing, wrong type, "p/0"
-        raise ValueError(f"malformed region entry: {exc!r}") from exc
-    return params, bounds, vertices
+    return _parse(document, "region", _read_region)
 
 
-REGION_CSV_COLUMNS = (
-    "kind", "r1_coeff", "r2_coeff", "rhs", "source", "r1", "r1_decimal", "r2", "r2_decimal",
-)
+REGION_CSV_COLUMNS = ("kind",) + _columns(_BOUND + _VERTEX)
 
 
 def _csv(columns, rows) -> str:
@@ -182,38 +206,58 @@ def _csv(columns, rows) -> str:
 
 def region_csv(poly: RatePolytope) -> str:
     bounds, vertices = _region_rows(poly)
-    rows = [{"kind": "bound", **row} for row in bounds]
-    rows += [{"kind": "vertex", **row} for row in vertices]
+    kind = REGION_CSV_COLUMNS[0]
+    rows = [{kind: "bound", **b} for b in bounds] + [{kind: "vertex", **v} for v in vertices]
     return _csv(REGION_CSV_COLUMNS, rows)
 
 
-def _metrics_fields(result: MetricsResult) -> dict:
-    fields = {}
-    fields.update(_rational_fields("delta1", result.delta1))
-    fields.update(_rational_fields("delta2", result.delta2))
-    fields.update(_rational_fields("sigma", result.sigma))
-    return fields
-
-
 def metrics_document(params: ChannelParams, result: MetricsResult, thresholds, useless: bool) -> dict:
-    payload = _metrics_fields(result)
-    payload["thresholds"] = [
-        {"link": t.link, "threshold": t.threshold, "saturation": t.saturation}
-        for t in thresholds
-    ]
-    payload["feedback_useless"] = useless
-    return _document(params, "metrics", payload)
+    rows = [_row(_THRESHOLD, _values(_THRESHOLD, t)) for t in thresholds]
+    values = (*_values(_METRICS, result), rows, useless)
+    return _document(params, "metrics", _row(_METRICS_PAYLOAD, values))
+
+
+def _read_metrics(params: ChannelParams, payload) -> tuple:
+    *values, rows, useless = _read_row(_METRICS_PAYLOAD, payload)
+    thresholds = tuple(ThresholdReport(*_read_row(_THRESHOLD, row)) for row in rows)
+    expected = [(1, params.feedback_saturation(1)), (2, params.feedback_saturation(2))]
+    if [(t.link, t.saturation) for t in thresholds] != expected:
+        raise ValueError(f"thresholds are not links 1 and 2 at saturations {expected}")
+    return params, MetricsResult(*values), thresholds, useless
+
+
+def parse_metrics_document(document):
+    """Exact inverse of metrics_document; accepts a dict or JSON text.
+
+    Returns (params, MetricsResult, thresholds, useless). The thresholds must
+    be links 1 and 2, in that order, each at its saturation in the params;
+    anything else, like any other malformed document, raises ValueError.
+    """
+    return _parse(document, "metrics", _read_metrics)
 
 
 def _surface_rows(surface: MetricSurface):
     # format each entry of the term-pair table once; rows run fb11-major, fb22-minor
-    table = [[_metrics_fields(result) for result in row] for row in surface.results]
-    return [{"fb11": fb11, "fb22": fb22, **table[i][j]}
+    table = [[_row(_METRICS, _values(_METRICS, r)) for r in row] for row in surface.results]
+    (k1, _), (k2, _) = _CELL[:2]
+    return [{k1: fb11, k2: fb22, **table[i][j]}
             for fb11, i in enumerate(surface.index1) for fb22, j in enumerate(surface.index2)]
 
 
 def surface_document(params: ChannelParams, surface: MetricSurface) -> dict:
-    return _document(params, "surface", {"cells": _surface_rows(surface)})
+    return _document(params, "surface", _row(_SURFACE, (_surface_rows(surface),)))
+
+
+def _read_surface(params: ChannelParams, surface) -> tuple:
+    rows, = _read_row(_SURFACE, surface)
+    n1, n2 = params.feedback_saturation(1) + 1, params.feedback_saturation(2) + 1
+    # the count is checked first, so a short document never builds a large grid
+    if len(rows) == n1 * n2:
+        cells = {(fb11, fb22): MetricsResult(*values)
+                 for fb11, fb22, *values in (_read_row(_CELL, row) for row in rows)}
+        if list(cells) == list(itertools.product(range(n1), range(n2))):
+            return params, cells
+    raise ValueError("surface cells are not the feedback grid, each pair once, fb11-major")
 
 
 def parse_surface_document(document):
@@ -224,28 +268,10 @@ def parse_surface_document(document):
     pair once, fb11-major and fb22-minor; a document whose cells are not, like
     any other malformed document, raises ValueError.
     """
-    params, surface = _load(document, "surface")
-    try:
-        rows = surface["cells"]
-        cells = {
-            (_entry(row, "fb11", int), _entry(row, "fb22", int)): MetricsResult(
-                *(_rational(row, name) for name in ("delta1", "delta2", "sigma"))
-            )
-            for row in rows
-        }
-    except (KeyError, TypeError, ZeroDivisionError) as exc:  # missing, wrong type, "p/0"
-        raise ValueError(f"malformed surface entry: {exc!r}") from exc
-    n1, n2 = params.feedback_saturation(1) + 1, params.feedback_saturation(2) + 1
-    # the count is checked first, so a short document never builds a large grid
-    if len(rows) != n1 * n2 or list(cells) != list(itertools.product(range(n1), range(n2))):
-        raise ValueError("surface cells are not the feedback grid, each pair once, fb11-major")
-    return params, cells
+    return _parse(document, "surface", _read_surface)
 
 
-SWEEP_CSV_COLUMNS = (
-    "fb11", "fb22",
-    "delta1", "delta1_decimal", "delta2", "delta2_decimal", "sigma", "sigma_decimal",
-)
+SWEEP_CSV_COLUMNS = _columns(_CELL)
 
 
 def sweep_csv(surface: MetricSurface) -> str:
@@ -260,31 +286,47 @@ def session_document(
     include_trace: bool = False,
 ) -> dict:
     m1, m2 = result.message_lengths
-    payload = {
-        "scheme": scheme_name,
-        "delay": cfg.delay,
-        "block_length": cfg.block_length,
-        "q": cfg.q,
-        "seed": seed,
-        "message_lengths": [m1, m2],
-        **_rational_fields("rate1", Fraction(m1, cfg.block_length)),
-        **_rational_fields("rate2", Fraction(m2, cfg.block_length)),
-        **_rational_fields("p1", result.p1),
-        **_rational_fields("p2", result.p2),
-        "messages": list(result.messages),
-        "estimates": list(result.estimates),
-    }
-    if include_trace:
-        spec = f"0{cfg.q}b"
-        payload["trace"] = [
-            {
-                "x1": format(step.x1, spec),
-                "x2": format(step.x2, spec),
-                "y1": format(step.y1, spec),
-                "y2": format(step.y2, spec),
-                "fb1": format(step.fb1, spec),
-                "fb2": format(step.fb2, spec),
-            }
-            for step in result.trace
-        ]
-    return _document(cfg.params, "session", payload)
+    values = (
+        scheme_name, cfg.delay, cfg.block_length, cfg.q, seed, [m1, m2],
+        Fraction(m1, cfg.block_length), Fraction(m2, cfg.block_length), result.p1, result.p2,
+        list(result.messages), list(result.estimates),
+    )
+    if include_trace:  # the trace entry closes the session row; without it, zip leaves it out
+        spec, (k1, k2, k3, k4, k5, k6) = f"0{cfg.q}b", _columns(_STEP)
+        values += ([{k1: format(x1, spec), k2: format(x2, spec), k3: format(y1, spec),
+                     k4: format(y2, spec), k5: format(f1, spec), k6: format(f2, spec)}
+                    for x1, x2, y1, y2, f1, f2 in result.trace],)  # dict(zip(...)) is ~40% slower
+    return _document(cfg.params, "session", _row(_SESSION + _TRACE, values))
+
+
+def _read_session(params: ChannelParams, payload) -> tuple:
+    table = _SESSION + _TRACE if "trace" in payload else _SESSION
+    (scheme, delay, block_length, q, seed, lengths, rate1, rate2, p1, p2, messages, estimates,
+     *steps) = _read_row(table, payload)
+    cfg = SimConfig(params, delay, block_length)
+    (m1, m2), (e1, e2) = messages, estimates
+    stated = (q, [(type(n), n) for n in lengths], [len(e1), len(e2)], rate1, rate2, p1, p2)
+    derived = (cfg.q, [(int, len(m1)), (int, len(m2))], [len(m1), len(m2)],
+               Fraction(len(m1), block_length), Fraction(len(m2), block_length),
+               _bit_error_rate(m1, e1), _bit_error_rate(m2, e2))
+    if not all(map(_is_bits, (m1, m2, e1, e2))) or stated != derived:
+        raise ValueError("session fields disagree with the params, messages or estimates")
+    trace = [_read_row(_STEP, row) for rows in steps for row in rows]
+    if len(trace) not in (0, block_length) or not all(
+            len(v) == q and _is_bits(v) for step in trace for v in step):
+        raise ValueError(f"the trace is not {block_length} rows of {q}-digit 0/1 strings")
+    trace = tuple(TraceStep(*(int(v, 2) for v in step)) for step in trace)
+    return cfg, scheme, seed, SessionResult((m1, m2), (e1, e2), p1, p2, trace)
+
+
+def parse_session_document(document):
+    """Exact inverse of session_document; accepts a dict or JSON text.
+
+    Returns (SimConfig, scheme name, seed, SessionResult), the result's trace
+    empty when the document has none. q must be the params' signal
+    dimension, each message length and rate those of its message, p1 and p2
+    the error rates of the estimates, and the trace either absent, empty or
+    block_length rows of q-digit 0/1 strings; anything else, like any other
+    malformed document, raises ValueError. Channel uses are not recomputed.
+    """
+    return _parse(document, "session", _read_session)

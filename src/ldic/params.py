@@ -9,13 +9,11 @@ feedback link back to its own transmitter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 # Cap on every level count. Keeps all derived bound arithmetic far inside
 # native integer ranges for any downstream consumer or file format.
 MAX_EXPONENT = 10_000
-
-_FIELDS = ("fwd11", "fwd22", "inr12", "inr21", "fb11", "fb22")
 
 VARIANT_KINDS = ("no_feedback", "perfect_feedback")
 
@@ -32,8 +30,8 @@ class ChannelParams:
     fb22: int = 0
 
     def __post_init__(self):
-        for name in _FIELDS:
-            value = getattr(self, name)
+        for field in fields(self):
+            name, value = field.name, getattr(self, field.name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 0:

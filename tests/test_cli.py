@@ -27,6 +27,7 @@ from ldic import (
 )
 from ldic.cli import build_parser, json_text, main
 from ldic.output import parse_region_document
+from ldic.polytope import RatePolytope
 
 FIG_FLAGS = ["--n11", "10", "--n22", "10", "--n12", "3", "--n21", "8"]
 
@@ -289,6 +290,36 @@ def test_readme_command_examples_exit_zero(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, ""), argv
         assert out, argv
+
+
+def _rebuilt(command, text):
+    """The document a subcommand's JSON text parses back to, built again by its builder."""
+    if command == "region":
+        params, bounds, vertices = parse_region_document(text)
+        poly = RatePolytope.from_bounds(bounds)
+        assert poly.vertices == vertices
+        return output.region_document(params, poly)
+    if command == "sweep":
+        params, cells = output.parse_surface_document(text)
+        surface = ldic.sweep(params)
+        assert dict(surface.cells) == cells
+        return output.surface_document(params, surface)
+    if command == "metrics":
+        return output.metrics_document(*output.parse_metrics_document(text))
+    include_trace = "trace" in json.loads(text)["session"]
+    return output.session_document(*output.parse_session_document(text),
+                                   include_trace=include_trace)
+
+
+def test_readme_json_documents_parse_back_to_the_same_bytes(capsys):
+    # each command as JSON: a --format flag is the last one in the README
+    commands = [argv[:argv.index("--format")] if "--format" in argv else argv
+                for argv in readme_commands()]
+    assert sorted({argv[0] for argv in commands}) == ["metrics", "region", "simulate", "sweep"]
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert json_text(_rebuilt(argv[0], out)) + "\n" == out, argv
 
 
 def _formats(argv):

@@ -1,22 +1,40 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import reference_csv
-from ldic import ChannelParams, build_bounds, capacity_region, sweep
+from ldic import (
+    SCHEMES,
+    ChannelParams,
+    build_bounds,
+    capacity_region,
+    compute_metrics,
+    derive_config,
+    draw_messages,
+    feedback_threshold,
+    feedback_useless,
+    run_scheme,
+    sweep,
+)
 from ldic.params import MAX_EXPONENT
+from ldic.polytope import RatePolytope
 from ldic.output import (
     REGION_CSV_COLUMNS,
     SWEEP_CSV_COLUMNS,
     _csv,
     format_decimal,
     format_rational,
+    metrics_document,
+    parse_metrics_document,
     parse_region_document,
+    parse_session_document,
     parse_surface_document,
     region_csv,
     region_document,
+    session_document,
     surface_document,
     sweep_csv,
 )
@@ -143,6 +161,8 @@ def test_parse_region_document_inverts_region_document(exponents, as_text):
     assert parsed_params == params
     assert bounds == build_bounds(params)  # caps and sources
     assert vertices == poly.vertices
+    assert region_document(parsed_params, RatePolytope.from_bounds(bounds)) == (
+        region_document(params, poly))
 
 
 def _surface_doc():
@@ -150,46 +170,111 @@ def _surface_doc():
     return surface_document(params, sweep(params))
 
 
-# Per payload, (list, field) of a row that every row needs.
-_NEEDED = {"region": ("bounds", "source"), "surface": ("cells", "sigma")}
-# Per damage and payload, (list, field, value): a row entry set to a value
-# of the wrong JSON type or one that reads as no rational.
-_BAD_ENTRY = {
-    "null rational": {"region": ("vertices", "r1", None), "surface": ("cells", "delta1", None)},
-    "number for a rational": {"region": ("vertices", "r2", 2.5),
-                              "surface": ("cells", "delta1", 0.5)},
-    "bool for a rational": {"region": ("vertices", "r1", True),
-                            "surface": ("cells", "sigma", True)},
-    "zero denominator": {"region": ("vertices", "r1", "1/0"),
-                         "surface": ("cells", "delta2", "1/0")},
-    "text for an integer": {"region": ("bounds", "rhs", "0"), "surface": ("cells", "fb11", "0")},
-    "bool for an integer": {"region": ("bounds", "r1_coeff", True),
-                            "surface": ("cells", "fb22", True)},
-    "decimal of another value": {"region": ("vertices", "r1_decimal", "9.999999"),
-                                 "surface": ("cells", "delta1_decimal", "9.999999")},
-    "decimal in other text": {"region": ("vertices", "r2_decimal", "0.0"),
-                              "surface": ("cells", "sigma_decimal", "0.0")},
+def _metrics_doc():
+    params = ChannelParams(4, 3, 2, 1, 2, 1)
+    thresholds = (feedback_threshold(params, 1), feedback_threshold(params, 2))
+    return metrics_document(params, compute_metrics(params), thresholds, feedback_useless(params))
+
+
+def _session_doc():
+    # message lengths 12 and 9, rate1 "4/1", p1 "1/6", a three-row trace
+    cfg = derive_config(ChannelParams(4, 3, 2, 1, 2, 1), delay=1, block_length=3)
+    scheme = SCHEMES["point-to-point"]
+    result = run_scheme(cfg, scheme, draw_messages(scheme.message_lengths(cfg), 5))
+    return session_document(cfg, scheme.name, 5, result, include_trace=True)
+
+
+def _flip_first_bit(messages):
+    return [("1" if messages[0][0] == "0" else "0") + messages[0][1:], messages[1]]
+
+
+_PAYLOADS = {
+    "region": (parse_region_document, _region_doc),
+    "surface": (parse_surface_document, _surface_doc),
+    "metrics": (parse_metrics_document, _metrics_doc),
+    "session": (parse_session_document, _session_doc),
 }
-# Per payload, the row list whose rows must come in one fixed order, each once,
-# and per damage, that list rebuilt from its rows.
-_ORDERED = {"region": "bounds", "surface": "cells"}
+_DAMAGES = ("extra params key", "missing params", "missing payload", "not an object",
+            "row without a needed field", "row with an extra field")
+# Per payload, (list, field) of a row that every row needs.
+_NEEDED = {"region": ("bounds", "source"), "surface": ("cells", "sigma"),
+           "metrics": ("thresholds", "threshold"), "session": ("trace", "fb2")}
+# Per damage and payload, (list, field, value): the first row of the list, or
+# the payload itself where the list is None, gets its field set to a value of
+# the wrong JSON type, text that is not the builders' for its value, or a
+# value that disagrees with the rest of the document. A callable value is
+# applied to the field's old value.
+_BAD_ENTRY = {
+    "null rational": {"region": ("vertices", "r1", None), "surface": ("cells", "delta1", None),
+                      "metrics": (None, "delta1", None), "session": (None, "rate1", None)},
+    "number for a rational": {"region": ("vertices", "r2", 2.5),
+                              "surface": ("cells", "delta1", 0.5),
+                              "metrics": (None, "delta2", 0.5), "session": (None, "p1", 0.0)},
+    "bool for a rational": {"region": ("vertices", "r1", True),
+                            "surface": ("cells", "sigma", True),
+                            "metrics": (None, "sigma", True), "session": (None, "rate2", False)},
+    "zero denominator": {"region": ("vertices", "r1", "1/0"),
+                         "surface": ("cells", "delta2", "1/0"),
+                         "metrics": (None, "delta2", "1/0"), "session": (None, "p2", "1/0")},
+    "text for an integer": {"region": ("bounds", "rhs", "0"), "surface": ("cells", "fb11", "0"),
+                            "metrics": ("thresholds", "saturation", "4"),
+                            "session": (None, "seed", "5")},
+    "bool for an integer": {"region": ("bounds", "r1_coeff", True),
+                            "surface": ("cells", "fb22", True),
+                            "metrics": ("thresholds", "link", True),
+                            "session": (None, "delay", True)},
+    "decimal of another value": {"region": ("vertices", "r1_decimal", "9.999999"),
+                                 "surface": ("cells", "delta1_decimal", "9.999999"),
+                                 "metrics": (None, "delta1_decimal", "9.999999"),
+                                 "session": (None, "rate1_decimal", "9.999999")},
+    "decimal in other text": {"region": ("vertices", "r2_decimal", "0.0"),
+                              "surface": ("cells", "sigma_decimal", "0.0"),
+                              "metrics": (None, "sigma_decimal", "0.0"),
+                              "session": (None, "p2_decimal", "0.222")},
+    # rational text of the right value in a spelling the builders never write
+    "not in lowest terms": {"region": ("vertices", "r1", "10/2"),
+                            "surface": ("cells", "delta1", "0/2"),
+                            "metrics": (None, "delta1", "0/3"), "session": (None, "rate1", "8/2")},
+    "no slash": {"region": ("vertices", "r1", "5"), "surface": ("cells", "delta2", "0"),
+                 "metrics": (None, "sigma", "0"), "session": (None, "rate1", "4")},
+    "padded": {"region": ("vertices", "r1", " 5/1"), "surface": ("cells", "sigma", "0/1\n"),
+               "metrics": (None, "delta2", " 0/1 "), "session": (None, "rate1", "4/1 ")},
+    "decimal notation": {"region": ("vertices", "r1", "5.0"), "surface": ("cells", "delta1", "0e0"),
+                         "metrics": (None, "delta1", "0.0"), "session": (None, "rate1", "4e0")},
+    "signed": {"region": ("vertices", "r1", "+5/1"), "surface": ("cells", "delta1", "-0/1"),
+               "metrics": (None, "sigma", "+0/1"), "session": (None, "rate1", "+4/1")},
+    "a threshold at another saturation": {"metrics": ("thresholds", "saturation", 5)},
+    "a q other than the params'": {"session": (None, "q", 5)},
+    "message lengths other than the messages'": {"session": (None, "message_lengths", [12, 8])},
+    "a p1 that disagrees with the messages": {"session": (None, "messages", _flip_first_bit)},
+    "an estimate of another length": {"session": (None, "estimates", lambda e: [e[0] + "0", e[1]])},
+    "a trace row of the wrong width": {"session": ("trace", "y1", lambda bits: bits + "0")},
+    "a trace row that is not 0/1 text": {"session": ("trace", "x2", lambda bits: "2" + bits[1:])},
+    "a short trace": {"session": (None, "trace", lambda rows: rows[:-1])},
+}
+# Per payload, the list whose entries must come in one fixed order, each once,
+# and per damage, that list rebuilt from its entries.
+_ORDERED = {"region": "bounds", "surface": "cells", "metrics": "thresholds",
+            "session": "messages"}
 _BAD_ORDER = {
-    "part of the rows": lambda rows: rows[:3],
+    "part of the rows": lambda rows: rows[:-1],
     "a repeated row": lambda rows: rows + rows[:1],
     "rows out of order": lambda rows: [rows[1], rows[0], *rows[2:]],
 }
 
 
-@pytest.mark.parametrize("parse,make,key", [
-    (parse_region_document, _region_doc, "region"),
-    (parse_surface_document, _surface_doc, "surface"),
-])
-@pytest.mark.parametrize("damage", [
-    "extra params key", "missing params", "missing payload",
-    "not an object", "row without a needed field", *_BAD_ENTRY, *_BAD_ORDER,
-])
+def _malformed_cases():
+    for damage in [*_DAMAGES, *_BAD_ENTRY, *_BAD_ORDER]:
+        for key, (parse, make) in _PAYLOADS.items():
+            if damage not in _BAD_ENTRY or key in _BAD_ENTRY[damage]:
+                yield pytest.param(parse, make, key, damage,
+                                   id=f"{damage}-{parse.__name__}-{make.__name__}-{key}")
+
+
+@pytest.mark.parametrize("parse,make,key,damage", _malformed_cases())
 def test_parsers_refuse_malformed_documents_with_value_error(parse, make, key, damage):
     doc = make()
+    parse(doc)  # the undamaged document parses
     if damage == "extra params key":
         doc["params"]["fb33"] = 0
     elif damage == "missing params":
@@ -201,12 +286,16 @@ def test_parsers_refuse_malformed_documents_with_value_error(parse, make, key, d
     elif damage == "row without a needed field":
         rows, field = _NEEDED[key]
         del doc[key][rows][0][field]
+    elif damage == "row with an extra field":
+        rows, _ = _NEEDED[key]
+        doc[key][rows][0]["note"] = "extra"
     elif damage in _BAD_ORDER:
         rows = _ORDERED[key]
         doc[key][rows] = _BAD_ORDER[damage](doc[key][rows])
     else:
         rows, field, value = _BAD_ENTRY[damage][key]
-        doc[key][rows][0][field] = value
+        row = doc[key] if rows is None else doc[key][rows][0]
+        row[field] = value(row[field]) if callable(value) else value
     with pytest.raises(ValueError):
         parse(doc)
 
@@ -220,6 +309,52 @@ def test_parse_surface_document_inverts_surface_document(exponents, as_text):
     if as_text:
         document = json.dumps(document, indent=2)
     assert parse_surface_document(document) == (params, surface.cells)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(*[st.integers(0, 12)] * 6), st.booleans())
+def test_parse_metrics_document_inverts_metrics_document(exponents, as_text):
+    params = ChannelParams(*exponents)  # n12 and n21 drawn apart
+    thresholds = (feedback_threshold(params, 1), feedback_threshold(params, 2))
+    parts = (params, compute_metrics(params), thresholds, feedback_useless(params))
+    document = metrics_document(*parts)
+    parsed = parse_metrics_document(json.dumps(document, indent=2) if as_text else document)
+    assert parsed == parts
+    assert metrics_document(*parsed) == document
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(*[st.integers(0, 12)] * 6).filter(lambda exponents: max(exponents[:4]) > 0),
+       st.sampled_from(sorted(SCHEMES)), st.integers(1, 3), st.integers(1, 12),
+       st.integers(-2**40, 2**40), st.booleans(), st.booleans())
+def test_parse_session_document_inverts_session_document(
+        exponents, name, delay, block_length, seed, trace, as_text):
+    cfg = derive_config(ChannelParams(*exponents), delay=delay, block_length=block_length)
+    scheme = SCHEMES[name]
+    result = run_scheme(cfg, scheme, draw_messages(scheme.message_lengths(cfg), seed))
+    document = session_document(cfg, name, seed, result, include_trace=trace)
+    parsed = parse_session_document(json.dumps(document, indent=2) if as_text else document)
+    assert parsed == (cfg, name, seed, result if trace else replace(result, trace=()))
+    assert session_document(*parsed, include_trace="trace" in document["session"]) == document
+
+
+def test_parse_session_document_accepts_an_empty_trace():
+    document = _session_doc()
+    document["session"]["trace"] = []
+    cfg, name, seed, result = parse_session_document(document)
+    assert result.trace == ()
+    assert session_document(cfg, name, seed, result, include_trace=True) == document
+
+
+def test_csv_headers_are_the_published_columns():
+    # the headers are derived from the row tables, so pin them to their text
+    assert REGION_CSV_COLUMNS == (
+        "kind", "r1_coeff", "r2_coeff", "rhs", "source", "r1", "r1_decimal", "r2", "r2_decimal",
+    )
+    assert SWEEP_CSV_COLUMNS == (
+        "fb11", "fb22",
+        "delta1", "delta1_decimal", "delta2", "delta2_decimal", "sigma", "sigma_decimal",
+    )
 
 
 _PLAIN_TEXT = st.text(st.characters(exclude_characters=',"\r\n'), max_size=8)
